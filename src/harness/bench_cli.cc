@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -12,6 +11,7 @@
 #include "exec/scheduler.hh"
 #include "obs/self_profile.hh"
 #include "obs/tracer.hh"
+#include "sim/num_parse.hh"
 #include "traffic/arrivals.hh"
 
 namespace uhtm
@@ -20,24 +20,42 @@ namespace uhtm
 namespace
 {
 
+/** Upper bound on --jobs: far above any useful worker count, low
+ *  enough that a typo cannot ask for billions of threads. */
+constexpr std::uint64_t kMaxJobs = 1024;
+
+/**
+ * True if @p arg is `<prefix>VALUE` and VALUE is a valid unsigned
+ * integer. A matching prefix with a malformed VALUE returns false and
+ * sets @p err, which the caller reports instead of "unknown argument".
+ */
 bool
-parseU64(const std::string &arg, const char *prefix, std::uint64_t &out)
+u64Flag(const std::string &arg, const char *prefix, std::uint64_t &out,
+        std::string &err)
 {
-    const std::size_t n = std::strlen(prefix);
     if (arg.rfind(prefix, 0) != 0)
         return false;
-    out = std::strtoull(arg.c_str() + n, nullptr, 10);
-    return true;
+    const std::string text = arg.substr(std::strlen(prefix));
+    if (parseU64(text, out))
+        return true;
+    err = arg.substr(0, std::strlen(prefix) - 1) +
+          ": not an unsigned integer: '" + text + "'";
+    return false;
 }
 
+/** u64Flag for a finite floating-point VALUE. */
 bool
-parseF64(const std::string &arg, const char *prefix, double &out)
+f64Flag(const std::string &arg, const char *prefix, double &out,
+        std::string &err)
 {
-    const std::size_t n = std::strlen(prefix);
     if (arg.rfind(prefix, 0) != 0)
         return false;
-    out = std::strtod(arg.c_str() + n, nullptr);
-    return true;
+    const std::string text = arg.substr(std::strlen(prefix));
+    if (parseF64(text, out))
+        return true;
+    err = arg.substr(0, std::strlen(prefix) - 1) + ": not a number: '" +
+          text + "'";
+    return false;
 }
 
 /** Sweep-level settings echoed into the JSON file. */
@@ -218,6 +236,7 @@ bool
 parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
                std::string &err)
 {
+    err.clear();
     for (int i = firstArg; i < argc; ++i) {
         const std::string arg = argv[i];
         std::uint64_t v = 0;
@@ -226,14 +245,19 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
             opts.fig.quick = true;
         } else if (arg == "--tiny") {
             opts.fig.tiny = true;
-        } else if (parseU64(arg, "--jobs=", v)) {
+        } else if (u64Flag(arg, "--jobs=", v, err)) {
+            if (v > kMaxJobs) {
+                err = "--jobs: must be at most " +
+                      std::to_string(kMaxJobs);
+                return false;
+            }
             opts.jobs = static_cast<unsigned>(v);
-        } else if (parseU64(arg, "--seed=", v)) {
+        } else if (u64Flag(arg, "--seed=", v, err)) {
             opts.fig.seed = v;
-        } else if (parseU64(arg, "--tx=", v) ||
-                   parseU64(arg, "--ops=", v)) {
+        } else if (u64Flag(arg, "--tx=", v, err) ||
+                   u64Flag(arg, "--ops=", v, err)) {
             opts.fig.txOverride = v;
-        } else if (parseU64(arg, "--scanmb=", v)) {
+        } else if (u64Flag(arg, "--scanmb=", v, err)) {
             opts.fig.scanMbOverride = v;
         } else if (arg.rfind("--out=", 0) == 0) {
             opts.outDir = arg.substr(6);
@@ -260,20 +284,20 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
             // echo is byte-stable regardless of how the user spelled
             // the numbers.
             opts.fig.arrivalSpec = as.spec();
-        } else if (parseF64(arg, "--zipf-theta=", f)) {
+        } else if (f64Flag(arg, "--zipf-theta=", f, err)) {
             if (f < 0.0) {
                 err = "--zipf-theta: must be >= 0";
                 return false;
             }
             opts.fig.zipfTheta = f;
             opts.zipfThetaSpec = arg.substr(std::strlen("--zipf-theta="));
-        } else if (parseU64(arg, "--tenants=", v)) {
+        } else if (u64Flag(arg, "--tenants=", v, err)) {
             if (v == 0 || v > 64) {
                 err = "--tenants: must be in [1, 64]";
                 return false;
             }
             opts.fig.tenantsOverride = v;
-        } else if (parseF64(arg, "--rw-mix=", f)) {
+        } else if (f64Flag(arg, "--rw-mix=", f, err)) {
             if (f < 0.0 || f > 1.0) {
                 err = "--rw-mix: must be in [0, 1]";
                 return false;
@@ -289,7 +313,8 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
         } else if (arg.rfind("--trace=", 0) == 0) {
             opts.traceDir = arg.substr(8);
         } else {
-            err = "unknown argument: " + arg;
+            if (err.empty())
+                err = "unknown argument: " + arg;
             return false;
         }
     }
@@ -324,8 +349,18 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         return 1;
     }
 
-    if (!opts.traceDir.empty())
+    if (!opts.traceDir.empty()) {
+        // Fail before running anything: figures that never build a
+        // Runner would otherwise "succeed" with no trace at all.
+        std::error_code ec;
+        std::filesystem::create_directories(opts.traceDir, ec);
+        if (ec) {
+            std::fprintf(stderr, "--trace: cannot create %s: %s\n",
+                         opts.traceDir.c_str(), ec.message().c_str());
+            return 1;
+        }
         obs::setTraceDir(opts.traceDir);
+    }
 
     if (opts.selfProfile) {
         obs::SelfProfiler::reset();
@@ -417,24 +452,6 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         std::printf(", %u FAILED", failed);
     std::printf("\n");
     return failed ? 1 : 0;
-}
-
-int
-benchMain(const char *figureName, int argc, char **argv)
-{
-    const figures::Figure *figure = figures::find(figureName);
-    if (!figure) {
-        std::fprintf(stderr, "unknown figure: %s\n", figureName);
-        return 2;
-    }
-    BenchCliOpts opts;
-    std::string err;
-    if (!parseBenchArgs(argc, argv, 1, opts, err)) {
-        std::fprintf(stderr, "%s\nusage: %s [flags]\n%s", err.c_str(),
-                     argv[0], benchFlagsHelp());
-        return 2;
-    }
-    return runFigure(*figure, opts);
 }
 
 } // namespace uhtm

@@ -1,13 +1,12 @@
 /**
  * @file
- * Shared command-line front end for the benchmark binaries.
+ * Command-line front end of the `uhtm_bench <figure>` driver.
  *
- * The ten `bench/bench_*` binaries used to copy-paste their argument
- * parsing and sweep loops; they are now thin wrappers over
- * benchMain(), and the unified `uhtm_bench` driver adds a subcommand
- * on top of the same flags:
+ * Numeric flags are parsed strictly (sim/num_parse.hh): a malformed,
+ * signed, empty or out-of-range value is an error, never a default.
  *
- *   --jobs=N      worker threads (0/default: one per hardware thread)
+ *   --jobs=N      worker threads (0/default: one per hardware thread,
+ *                 at most 1024)
  *   --seed=S      sweep seed (default 42)
  *   --out=DIR     write BENCH_<figure>.json into DIR
  *   --filter=SUB  only run jobs whose key contains SUB
@@ -96,12 +95,6 @@ const char *benchFlagsHelp();
  * any job failed).
  */
 int runFigure(const figures::Figure &figure, const BenchCliOpts &opts);
-
-/**
- * main() of a thin per-figure wrapper binary: parse flags, run the
- * named figure. @p figureName must exist in the registry.
- */
-int benchMain(const char *figureName, int argc, char **argv);
 
 } // namespace uhtm
 

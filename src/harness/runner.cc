@@ -1,6 +1,7 @@
 #include "harness/runner.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/collect.hh"
 
@@ -11,11 +12,16 @@ Runner::Runner(MachineConfig mcfg, HtmPolicy policy, std::uint64_t seed)
     : _sys(_eq, mcfg, policy), _seed(seed)
 {
     // Binary event tracing is opt-in (UHTM_OBS_TRACE / --trace=DIR):
-    // one tracer per run, one file per run, spilled as it fills.
+    // one tracer per run, one file per run, spilled as it fills. A
+    // trace that cannot be written fails the run rather than silently
+    // producing nothing.
     const std::string &dir = obs::traceDir();
     if (!dir.empty()) {
         _tracer = std::make_unique<obs::Tracer>(
             obs::nextTraceFilePath(dir, seed), seed);
+        if (_tracer->failed())
+            throw std::runtime_error("cannot open trace file " +
+                                     _tracer->path());
         _sys.setTracer(_tracer.get());
     }
 }
@@ -124,8 +130,12 @@ Runner::run()
         exporter(reg);
     m.registry = reg.snapshot();
 
-    if (_tracer)
+    if (_tracer) {
         _tracer->flush();
+        if (_tracer->failed())
+            throw std::runtime_error("cannot write trace file " +
+                                     _tracer->path());
+    }
     return m;
 }
 

@@ -110,6 +110,8 @@ class Runner
      *  snapshot, after the system components were collected. */
     using MetricsExporter = std::function<void(obs::MetricsRegistry &)>;
 
+    /** @throws std::runtime_error if tracing is on (obs::traceDir())
+     *  and the run's trace file cannot be opened. */
     Runner(MachineConfig mcfg, HtmPolicy policy, std::uint64_t seed = 1);
 
     HtmSystem &system() { return _sys; }
@@ -136,6 +138,8 @@ class Runner
     /**
      * Run the experiment: start all tasks, drive events until every
      * foreground worker finishes, stop backgrounds, drain, and report.
+     * @throws std::runtime_error if the trace file could not be
+     * written completely.
      */
     RunMetrics run();
 

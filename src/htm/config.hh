@@ -7,9 +7,9 @@
 #ifndef UHTM_HTM_CONFIG_HH
 #define UHTM_HTM_CONFIG_HH
 
-#include <cstdlib>
 #include <string>
 
+#include "sim/num_parse.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -216,9 +216,8 @@ struct PolicyDescriptor
             }
             const std::string key = kv.substr(0, eq);
             const std::string val = kv.substr(eq + 1);
-            char *end = nullptr;
-            const double num = std::strtod(val.c_str(), &end);
-            if (end == val.c_str() || *end != '\0') {
+            double num = 0.0;
+            if (!parseF64(val, num)) {
                 if (err)
                     *err = "policy knob '" + key +
                            "': not a number: '" + val + "'";

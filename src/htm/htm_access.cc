@@ -6,13 +6,11 @@
  */
 
 #include <cassert>
-#include <cstdlib>
 
 #include "htm/conflict_policy.hh"
 #include "htm/htm_system.hh"
 #include "obs/self_profile.hh"
 #include "obs/tracer.hh"
-#include "sim/trace.hh"
 
 namespace uhtm
 {
@@ -67,11 +65,6 @@ HtmSystem::onChipConflictCheck(CacheLine &s, TxDesc *req, bool is_write)
     }
     // Requester-wins for the symmetric cases.
     for (TxDesc *v : victims) {
-        UHTM_TRACE(kConflict, _eq.now(),
-                   "onchip line=%llx req=%llu(core%u,%s) victim=%llu",
-                   (unsigned long long)s.tag,
-                   (unsigned long long)req->id, req->core,
-                   is_write ? "W" : "R", (unsigned long long)v->id);
         requestAbort(v, AbortCause::TrueConflictOnChip, req->id, s.tag);
     }
     return {};
@@ -227,17 +220,6 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
             readers.push_back(d);
     }
 
-    if (trace::enabled(trace::kCache) && ev.txBit()) {
-        const TxId first = ev.txReaders.empty() ? 0 : ev.txReaders[0];
-        UHTM_TRACE(kCache, _eq.now(),
-                   "chipEvict line=%llx w=%llu(live=%d) nr=%zu r0=%llu"
-                   "(live=%d) nextTx=%llu",
-                   (unsigned long long)line,
-                   (unsigned long long)ev.txWriter, writer != nullptr,
-                   ev.txReaders.size(), (unsigned long long)first,
-                   first && _tss.byId(first) != nullptr,
-                   (unsigned long long)_nextTxId);
-    }
     if (writer || !readers.empty())
         ++_stats.llcTxEvictions;
     if (writer)
@@ -261,7 +243,7 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
     // Unbounded modes: move tracking to signatures (or precise sets)
     // and apply the hybrid version management.
     if (writer && !writer->serialized) {
-        markOverflowed(writer);
+        markOverflowed(writer, line);
         writer->overflowedLines.insert(line);
         if (_policy.offChip != OffChipDetection::Precise) {
             const SigProbe &p = probeFor(line);
@@ -315,7 +297,7 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
     for (TxDesc *d : readers) {
         if (d->serialized)
             continue;
-        markOverflowed(d);
+        markOverflowed(d, line);
         d->overflowedLines.insert(line);
         if (_policy.offChip != OffChipDetection::Precise) {
             const SigProbe &p = probeFor(line);
@@ -336,25 +318,6 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
     TxDesc *tx = _coreTx[core];
     const Addr line = lineAlign(addr);
     Tick t = _eq.now();
-
-    static const Addr watch = [] {
-        const char *w = std::getenv("UHTM_WATCH");
-        return w ? std::strtoull(w, nullptr, 16) : 0;
-    }();
-    if (watch && line == watch) {
-        const CacheLine *l1l = _l1s[core]->peek(line);
-        const CacheLine *llcl = _llc.peek(line);
-        std::fprintf(stderr,
-                     "%12llu WATCH core=%u tx=%llu %s l1=%s llc=%s "
-                     "txW=%llu nr=%zu\n",
-                     (unsigned long long)t, core,
-                     (unsigned long long)(tx ? tx->id : 0),
-                     is_write ? "W" : "R",
-                     l1l ? (l1l->exclusive ? "E" : "S") : "-",
-                     llcl ? "hit" : "miss",
-                     (unsigned long long)(llcl ? llcl->txWriter : 0),
-                     llcl ? llcl->txReaders.size() : 0);
-    }
 
     // A doomed transaction makes no further progress; the awaiter
     // throws TxAborted when this access "completes".

@@ -16,12 +16,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 #include "check/fault_injector.hh"
 #include "htm/htm_system.hh"
 #include "obs/self_profile.hh"
 #include "obs/tracer.hh"
-#include "sim/trace.hh"
 
 namespace uhtm
 {
@@ -189,11 +189,6 @@ HtmSystem::issueCommit(CoreId core)
                    static_cast<std::uint16_t>(core), tx->id,
                    done - start);
 
-    UHTM_TRACE(kTx, _eq.now(),
-               "tx %llu commit (%zu lines, %zu overflow, done+%.0fns)",
-               (unsigned long long)tx->id, tx->writeBuffer.size(),
-               tx->overflowList.size(), nsFromTicks(done - start));
-
     tx->status = TxStatus::Committed;
     finishTx(tx);
     return done;
@@ -284,11 +279,6 @@ HtmSystem::issueAbort(CoreId core)
     UHTM_OBS_EVENT(_obs, start, obs::EventKind::TxAbort,
                    static_cast<std::uint16_t>(core), tx->id, t - start,
                    static_cast<std::uint32_t>(tx->abortCause));
-
-    UHTM_TRACE(kTx, _eq.now(), "tx %llu aborted (%s, by %llu)",
-               (unsigned long long)tx->id,
-               abortCauseName(tx->abortCause),
-               (unsigned long long)tx->abortedBy);
 
     tx->status = TxStatus::Aborted;
     finishTx(tx);

@@ -9,12 +9,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 #include "check/fault_injector.hh"
 #include "htm/conflict_policy.hh"
 #include "obs/self_profile.hh"
 #include "obs/tracer.hh"
-#include "sim/trace.hh"
 
 namespace uhtm
 {
@@ -29,7 +29,6 @@ HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
       _dramCache(mcfg.dramCacheBytes, mcfg.dramCacheWays),
       _undoLog(mcfg.logAreaBytes), _redoLog(mcfg.logAreaBytes)
 {
-    trace::initFromEnv();
     assert(mcfg.cores >= 1 && mcfg.cores <= 64 &&
            "sharer bitmask limits the model to 64 cores");
     assert(_policy.conflict.validate() && "invalid conflict policy");
@@ -164,9 +163,6 @@ HtmSystem::makeTx(CoreId core, DomainId domain, int attempt,
     _coreTx[core] = ptr;
     _tss.add(ptr);
     ++_stats.txBegins;
-    UHTM_TRACE(kTx, _eq.now(), "tx %llu begin core=%u dom=%u%s",
-               (unsigned long long)id, core, domain,
-               serialized ? " serialized" : "");
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxBegin,
                    static_cast<std::uint16_t>(core), id, domain,
                    static_cast<std::uint32_t>(attempt),
@@ -256,9 +252,6 @@ HtmSystem::requestAbort(TxDesc *victim, AbortCause cause, TxId by,
     victim->abortRequested = true;
     victim->abortCause = cause;
     victim->abortedBy = by;
-    UHTM_TRACE(kConflict, _eq.now(), "tx %llu doomed (%s) by %llu",
-               (unsigned long long)victim->id, abortCauseName(cause),
-               (unsigned long long)by);
     // Causal attribution pair (trace v2): the conflicting line and the
     // killer, recorded at doom time (the abort protocol runs later,
     // when the victim notices). First doom wins, like the flag itself.
@@ -310,8 +303,6 @@ HtmSystem::suspendTx(CoreId core)
     tx->core = kNoCore;
     _suspended.emplace(tx->id, tx);
     ++_stats.contextSwitches;
-    UHTM_TRACE(kTx, _eq.now(), "tx %llu suspended from core %u",
-               (unsigned long long)tx->id, core);
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxSuspend,
                    static_cast<std::uint16_t>(core), tx->id, 0);
     return tx->id;
@@ -327,8 +318,6 @@ HtmSystem::resumeTx(CoreId core, TxId id)
     _suspended.erase(it);
     tx->core = core;
     _coreTx[core] = tx;
-    UHTM_TRACE(kTx, _eq.now(), "tx %llu resumed on core %u",
-               (unsigned long long)id, core);
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxResume,
                    static_cast<std::uint16_t>(core), id, 0);
 }
@@ -406,19 +395,17 @@ HtmSystem::recoverAfterCrash()
 }
 
 void
-HtmSystem::markOverflowed(TxDesc *tx)
+HtmSystem::markOverflowed(TxDesc *tx, Addr line)
 {
     if (!tx->overflowed) {
         tx->overflowed = true;
         tx->overflowTick = _eq.now();
         ++_stats.overflowedTxs;
-        UHTM_TRACE(kTx, _eq.now(), "tx %llu overflowed",
-                   (unsigned long long)tx->id);
         UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxOverflow,
                        tx->core == kNoCore
                            ? obs::kEvNoCore
                            : static_cast<std::uint16_t>(tx->core),
-                       tx->id, 0);
+                       tx->id, line);
     }
 }
 

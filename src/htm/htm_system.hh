@@ -497,8 +497,9 @@ class HtmSystem
     /** Prune stale (finished) transaction ids from line metadata. */
     void pruneLineMeta(CacheLine &line);
 
-    /** Mark @p tx overflowed (TSS overflow bit), counting it once. */
-    void markOverflowed(TxDesc *tx);
+    /** Mark @p tx overflowed (TSS overflow bit), counting it once;
+     *  @p line is the evicted line recorded in the TxOverflow event. */
+    void markOverflowed(TxDesc *tx, Addr line);
 
     EventQueue &_eq;
     MachineConfig _mcfg;

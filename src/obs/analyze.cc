@@ -174,7 +174,7 @@ struct CoreScan
 };
 
 std::vector<LineStat>
-topLines(const std::map<Addr, LineStat> &acc, unsigned k)
+topLines(const std::map<Addr, LineStat> &acc)
 {
     std::vector<LineStat> v;
     v.reserve(acc.size());
@@ -189,8 +189,8 @@ topLines(const std::map<Addr, LineStat> &acc, unsigned k)
                       return a.sigFalseHits > b.sigFalseHits;
                   return a.line < b.line;
               });
-    if (v.size() > k)
-        v.resize(k);
+    if (v.size() > kHotLines)
+        v.resize(kHotLines);
     return v;
 }
 
@@ -460,7 +460,7 @@ mergeRun(RunAnalysis &agg, const RunAnalysis &ra)
 } // namespace
 
 Analysis
-analyzeTraces(std::vector<TraceData> files, const AnalyzeOptions &opt)
+analyzeTraces(std::vector<TraceData> files)
 {
     // Deterministic run order from contents only: file names carry a
     // process-wide sequence number that varies across --jobs=N.
@@ -480,7 +480,7 @@ analyzeTraces(std::vector<TraceData> files, const AnalyzeOptions &opt)
     for (const TraceData &f : files) {
         std::map<Addr, LineStat> lines;
         RunAnalysis ra = analyzeRun(f, lines);
-        ra.hotLines = topLines(lines, opt.topLines);
+        ra.hotLines = topLines(lines);
         for (const auto &[line, ls] : lines) {
             LineStat &al = aggLines[line];
             al.line = ls.line;
@@ -491,7 +491,7 @@ analyzeTraces(std::vector<TraceData> files, const AnalyzeOptions &opt)
         mergeRun(an.aggregate, ra);
         an.runs.push_back(std::move(ra));
     }
-    an.aggregate.hotLines = topLines(aggLines, opt.topLines);
+    an.aggregate.hotLines = topLines(aggLines);
     return an;
 }
 
@@ -756,7 +756,8 @@ writeChromeTrace(const std::vector<TraceData> &files,
               }
               case EventKind::TxOverflow:
                 emitEvent(pid, tid, "i", "overflow", ts, 0, "overflow",
-                          {{"tx", std::to_string(e.tx)}});
+                          {{"tx", std::to_string(e.tx)},
+                           {"line", hexline}});
                 break;
               case EventKind::TxSuspend:
                 emitEvent(pid, tid, "i", "suspend", ts, 0, "ctxsw",
@@ -835,6 +836,64 @@ writeChromeTrace(const std::vector<TraceData> &files,
     std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
     return true;
+}
+
+bool
+carriesLine(EventKind k)
+{
+    switch (k) {
+      case EventKind::TxOverflow:
+      case EventKind::RedoLogAppend:
+      case EventKind::UndoLogAppend:
+      case EventKind::DramCacheFill:
+      case EventKind::DramCacheEvict:
+      case EventKind::NvmWriteBack:
+      case EventKind::SigCheckHit:
+      case EventKind::SigCheckMiss:
+      case EventKind::TxConflict:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+TextFilter::matches(const Event &e) const
+{
+    if (line && !(carriesLine(e.kind) &&
+                  lineAlign(e.arg) == lineAlign(*line)))
+        return false;
+    if (tx && e.tx != *tx &&
+        !(e.kind == EventKind::TxConflictBy && e.arg == *tx))
+        return false;
+    return true;
+}
+
+std::uint64_t
+writeTraceText(const TraceData &f, const TextFilter &filter,
+               std::FILE *out)
+{
+    const std::string file =
+        std::filesystem::path(f.path).filename().string();
+    std::uint64_t lines = 0;
+    for (const Event &e : f.events) {
+        if (!filter.matches(e))
+            continue;
+        char core[8] = "-";
+        if (e.core != kEvNoCore)
+            std::snprintf(core, sizeof(core), "%u", e.core);
+        std::fprintf(out,
+                     carriesLine(e.kind)
+                         ? "%s %14" PRIu64 " %-13s core=%s tx=%" PRIu64
+                           " arg=0x%" PRIx64 " extra=%" PRIu32 "\n"
+                         : "%s %14" PRIu64 " %-13s core=%s tx=%" PRIu64
+                           " arg=%" PRIu64 " extra=%" PRIu32 "\n",
+                     file.c_str(), static_cast<std::uint64_t>(e.tick),
+                     eventKindName(e.kind), core,
+                     static_cast<std::uint64_t>(e.tx), e.arg, e.extra);
+        ++lines;
+    }
+    return lines;
 }
 
 } // namespace uhtm::obs

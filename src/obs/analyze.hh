@@ -16,6 +16,9 @@
  *     protocol → commit protocol → log drain), whose stage sums tile
  *     the lifecycle sojourn exactly.
  *
+ * It also holds the trace reader, the Chrome exporter and the per-event
+ * text dump, so `tools/uhtm_trace` is a thin front end over this file.
+ *
  * The JSON serialization (analysisJson) is deterministic: runs are
  * ordered by a content-derived key, never by file name (trace file
  * names vary across --jobs=N; contents do not), so the
@@ -28,7 +31,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,11 +67,8 @@ bool readTrace(const std::string &path, TraceData &out,
 std::vector<std::string>
 expandTraceInputs(const std::vector<std::string> &args);
 
-struct AnalyzeOptions
-{
-    /** Hot lines kept per run (and in the aggregate). */
-    unsigned topLines = 8;
-};
+/** Hot lines kept per run (and in the aggregate). */
+inline constexpr unsigned kHotLines = 8;
 
 /** Per-abort-cause aggregation. */
 struct CauseAgg
@@ -200,8 +202,7 @@ struct Analysis
     RunAnalysis aggregate;
 };
 
-Analysis analyzeTraces(std::vector<TraceData> files,
-                       const AnalyzeOptions &opt = {});
+Analysis analyzeTraces(std::vector<TraceData> files);
 
 /** Deterministic ANALYSIS_<figure>.json body ("uhtm-analysis-v1"). */
 std::string analysisJson(const std::string &figure, const Analysis &a);
@@ -214,6 +215,30 @@ std::string analysisJson(const std::string &figure, const Analysis &a);
 bool writeChromeTrace(const std::vector<TraceData> &files,
                       const std::string &out_path,
                       std::string *err = nullptr);
+
+/** True for kinds whose Event::arg is a cache-line address. */
+bool carriesLine(EventKind k);
+
+/** Event selection of the text dump; an unset field matches all. */
+struct TextFilter
+{
+    /** Keep line-carrying events on this line; any byte address inside
+     *  the line selects it. */
+    std::optional<Addr> line;
+    /** Keep events of this transaction, plus the TxConflictBy records
+     *  that name it as the killer. */
+    std::optional<TxId> tx;
+
+    bool matches(const Event &e) const;
+};
+
+/**
+ * Print one line per event of @p f that @p filter matches: file name,
+ * tick, kind, core, tx, arg (hex for line-carrying kinds) and extra.
+ * Returns the number of lines written.
+ */
+std::uint64_t writeTraceText(const TraceData &f, const TextFilter &filter,
+                             std::FILE *out);
 
 } // namespace uhtm::obs
 

@@ -105,7 +105,8 @@ Tracer::flush()
     if (!_file)
         return;
     spill();
-    std::fflush(_file);
+    if (std::fflush(_file) != 0)
+        _failed = true;
 }
 
 std::vector<Event>

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "sim/num_parse.hh"
 #include "traffic/detmath.hh"
 
 namespace uhtm::traffic
@@ -108,9 +108,8 @@ ArrivalSpec::parse(const std::string &text, ArrivalSpec *out,
             return false;
         }
         const std::string key = kv.substr(0, eq);
-        char *end = nullptr;
-        const double v = std::strtod(kv.c_str() + eq + 1, &end);
-        if (end == kv.c_str() + eq + 1 || *end != '\0') {
+        double v = 0.0;
+        if (!parseF64(kv.substr(eq + 1), v)) {
             if (err)
                 *err = "bad number in \"" + kv + "\"";
             return false;

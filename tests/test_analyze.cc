@@ -3,19 +3,25 @@
  * Causal-analyzer tests (DESIGN.md §14): trace-reader version
  * compatibility and strictness, killer attribution agreeing exactly
  * with the HTM statistics and the AbortProfiler's metrics counters,
- * deterministic ANALYSIS JSON across scheduler thread counts, and the
- * critical-path tiling invariant (stage sums == request sojourn).
+ * deterministic ANALYSIS JSON across scheduler thread counts, the
+ * critical-path tiling invariant (stage sums == request sojourn), the
+ * per-event text dump and its line/tx filters, and TxOverflow records
+ * carrying the evicted line.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
+#include <sstream>
 
 #include "exec/scheduler.hh"
 #include "harness/figures.hh"
 #include "htm/htm_system.hh"
+#include "mem/layout.hh"
 #include "obs/analyze.hh"
 #include "obs/collect.hh"
 #include "obs/metrics.hh"
@@ -71,7 +77,7 @@ makeEvent(obs::EventKind kind, Tick tick, TxId tx, std::uint64_t arg)
 
 TEST(AnalyzeReader, AcceptsOlderVersionsInRange)
 {
-    const std::string dir = tempDir("uhtm_analyze_reader_v1");
+    const std::string dir = tempDir("analyze_reader_v1");
     const std::string path = dir + "/v1.uhtmtrace";
     std::string bytes;
     const auto h = makeHeader(obs::kTraceVersionMin, sizeof(obs::Event),
@@ -101,7 +107,7 @@ TEST(AnalyzeReader, AcceptsOlderVersionsInRange)
 
 TEST(AnalyzeReader, RejectsBadVersionAndBadKind)
 {
-    const std::string dir = tempDir("uhtm_analyze_reader_bad");
+    const std::string dir = tempDir("analyze_reader_bad");
 
     // Future version: refused outright.
     {
@@ -150,7 +156,7 @@ TEST(AnalyzeReader, SkipsUnknownPayloadTailOfWiderRecords)
 {
     // A (hypothetical) future writer may grow the record; the reader
     // takes the 32-byte prefix it understands and skips the tail.
-    const std::string dir = tempDir("uhtm_analyze_reader_wide");
+    const std::string dir = tempDir("analyze_reader_wide");
     const std::string path = dir + "/wide.uhtmtrace";
     std::string bytes;
     const auto h = makeHeader(obs::kTraceVersion,
@@ -287,7 +293,7 @@ TEST(Analyze, ServiceAbortTotalsMatchMetricsCounters)
 
     bool sawAborts = false;
     for (std::size_t i = 0; i < jobs.size() && !sawAborts; ++i) {
-        const std::string dir = tempDir("uhtm_analyze_svc_metrics");
+        const std::string dir = tempDir("analyze_svc_metrics");
         obs::setTraceDir(dir);
         const RunMetrics m = jobs[i].run(
             exec::SweepScheduler::jobSeed(opts.seed, jobs[i].key));
@@ -356,8 +362,8 @@ TEST(Analyze, AnalysisJsonByteIdenticalAcrossThreadCounts)
     std::string json1, json8;
     for (const unsigned threads : {1u, 8u}) {
         const std::string dir = tempDir(threads == 1
-                                            ? "uhtm_analyze_jobs1"
-                                            : "uhtm_analyze_jobs8");
+                                            ? "analyze_jobs1"
+                                            : "analyze_jobs8");
         auto jobs = fig->makeJobs(opts);
         ASSERT_FALSE(jobs.empty());
         obs::setTraceDir(dir);
@@ -396,7 +402,7 @@ TEST(Analyze, CriticalPathStagesTileEveryRequestSojournExactly)
     auto jobs = fig->makeJobs(opts);
     ASSERT_FALSE(jobs.empty());
 
-    const std::string dir = tempDir("uhtm_analyze_critpath");
+    const std::string dir = tempDir("analyze_critpath");
     obs::setTraceDir(dir);
     exec::SweepScheduler sched({4, opts.seed});
     const auto results = sched.run(jobs);
@@ -437,6 +443,192 @@ TEST(Analyze, CriticalPathStagesTileEveryRequestSojournExactly)
     }
     EXPECT_EQ(total, an.aggregate.requestsExact);
     std::filesystem::remove_all(dir);
+}
+
+/** Run every job of @p figure's tiny sweep traced, and read the traces. */
+std::vector<obs::TraceData>
+tracedTinySweep(const char *figure, const char *leaf)
+{
+    const figures::Figure *fig = figures::find(figure);
+    EXPECT_NE(fig, nullptr);
+    figures::FigureOpts opts;
+    opts.tiny = true;
+    opts.seed = 42;
+    const std::string dir = tempDir(leaf);
+    obs::setTraceDir(dir);
+    exec::SweepScheduler sched({2, opts.seed});
+    const auto results = sched.run(fig->makeJobs(opts));
+    obs::setTraceDir("");
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok) << r.error;
+
+    std::vector<obs::TraceData> files;
+    for (const auto &p : obs::expandTraceInputs({dir})) {
+        obs::TraceData td;
+        std::string err;
+        EXPECT_TRUE(obs::readTrace(p, td, &err)) << err;
+        files.push_back(std::move(td));
+    }
+    std::filesystem::remove_all(dir);
+    return files;
+}
+
+/** writeTraceText output as lines. */
+std::vector<std::string>
+textLines(const obs::TraceData &f, const obs::TextFilter &filter,
+          std::uint64_t *written)
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *out = open_memstream(&buf, &len);
+    EXPECT_NE(out, nullptr);
+    *written = obs::writeTraceText(f, filter, out);
+    std::fclose(out);
+    std::vector<std::string> lines;
+    std::istringstream in(std::string(buf, len));
+    std::free(buf);
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    return lines;
+}
+
+/** Whitespace-separated field @p i of a text-dump line. */
+std::string
+field(const std::string &line, unsigned i)
+{
+    std::istringstream in(line);
+    std::string tok;
+    for (unsigned k = 0; k <= i; ++k)
+        in >> tok;
+    return tok;
+}
+
+TEST(TraceText, UnfilteredDumpHasOneLinePerEvent)
+{
+    const auto files = tracedTinySweep("policies", "analyze_text_all");
+    ASSERT_FALSE(files.empty());
+    std::uint64_t events = 0, lines = 0;
+    for (const obs::TraceData &f : files) {
+        std::uint64_t written = 0;
+        const auto text = textLines(f, {}, &written);
+        EXPECT_EQ(text.size(), written);
+        EXPECT_EQ(written, f.events.size());
+        for (std::size_t i = 0; i < text.size(); ++i)
+            EXPECT_EQ(field(text[i], 2),
+                      obs::eventKindName(f.events[i].kind));
+        events += f.events.size();
+        lines += written;
+    }
+    EXPECT_EQ(lines, events);
+}
+
+TEST(TraceText, TxFilterKeepsTheTxAndTheConflictsItWon)
+{
+    const auto files = tracedTinySweep("policies", "analyze_text_tx");
+    bool sawKiller = false;
+    for (const obs::TraceData &f : files) {
+        // The first transaction that killed another one.
+        TxId killer = kNoTx;
+        for (const obs::Event &e : f.events)
+            if (e.kind == obs::EventKind::TxConflictBy && e.arg != kNoTx) {
+                killer = e.arg;
+                break;
+            }
+        if (killer == kNoTx)
+            continue;
+        sawKiller = true;
+
+        obs::TextFilter filter;
+        filter.tx = killer;
+        std::uint64_t expected = 0, kills = 0;
+        for (const obs::Event &e : f.events) {
+            const bool won = e.kind == obs::EventKind::TxConflictBy &&
+                             e.arg == killer;
+            const bool want = e.tx == killer || won;
+            EXPECT_EQ(filter.matches(e), want);
+            expected += want;
+            kills += won;
+        }
+        EXPECT_GT(kills, 0u);
+        std::uint64_t written = 0;
+        const auto text = textLines(f, filter, &written);
+        EXPECT_EQ(written, expected);
+        std::uint64_t killLines = 0;
+        for (const std::string &l : text) {
+            const std::string tx = "tx=" + std::to_string(killer);
+            if (field(l, 2) == "conflict-by" &&
+                field(l, 5) == "arg=" + std::to_string(killer))
+                ++killLines;
+            else
+                EXPECT_EQ(field(l, 4), tx) << l;
+        }
+        EXPECT_EQ(killLines, kills);
+    }
+    EXPECT_TRUE(sawKiller) << "tiny policies sweep had no killer conflicts";
+}
+
+TEST(TraceText, LineFilterKeepsOnlyLineCarryingKindsOnThatLine)
+{
+    const auto files = tracedTinySweep("policies", "analyze_text_line");
+    bool sawLine = false;
+    for (const obs::TraceData &f : files) {
+        Addr line = 0;
+        for (const obs::Event &e : f.events)
+            if (e.kind == obs::EventKind::RedoLogAppend ||
+                e.kind == obs::EventKind::TxConflict) {
+                line = lineAlign(e.arg);
+                if (line)
+                    break;
+            }
+        if (!line)
+            continue;
+        sawLine = true;
+
+        obs::TextFilter filter;
+        filter.line = line + 0x17; // any byte inside the line selects it
+        std::uint64_t expected = 0;
+        for (const obs::Event &e : f.events) {
+            const bool want =
+                obs::carriesLine(e.kind) && lineAlign(e.arg) == line;
+            EXPECT_EQ(filter.matches(e), want);
+            expected += want;
+        }
+        EXPECT_GT(expected, 0u);
+        std::uint64_t written = 0;
+        const auto text = textLines(f, filter, &written);
+        EXPECT_EQ(written, expected);
+        for (const std::string &l : text) {
+            const std::string arg = field(l, 5);
+            ASSERT_EQ(arg.rfind("arg=0x", 0), 0u) << l;
+            EXPECT_EQ(lineAlign(std::strtoull(arg.c_str() + 6, nullptr,
+                                              16)),
+                      line)
+                << l;
+        }
+    }
+    EXPECT_TRUE(sawLine);
+}
+
+TEST(TraceText, OverflowEventsCarryTheEvictedLine)
+{
+    const auto files = tracedTinySweep("fig7", "analyze_overflow_line");
+    std::uint64_t overflows = 0;
+    std::set<Addr> lines;
+    for (const obs::TraceData &f : files) {
+        for (const obs::Event &e : f.events) {
+            if (e.kind != obs::EventKind::TxOverflow)
+                continue;
+            ++overflows;
+            lines.insert(e.arg);
+            EXPECT_EQ(e.arg, lineAlign(e.arg));
+            EXPECT_TRUE(MemLayout::isSoftwareVisible(e.arg))
+                << std::hex << e.arg;
+        }
+    }
+    EXPECT_GT(overflows, 0u);
+    // DRAM starts at address 0, so a constant placeholder arg would
+    // pass the checks above; real evicted lines differ per tx.
+    EXPECT_GT(lines.size(), 1u);
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Observability-layer tests: tracer ring and file round-trips, event
  * counts agreeing exactly with the HTM statistics, metrics registry
- * snapshot/merge, and — the load-bearing invariant — that attaching a
- * tracer does not perturb the simulation at all.
+ * snapshot/merge, a trace that cannot be written failing its run, and
+ * — the load-bearing invariant — that attaching a tracer does not
+ * perturb the simulation at all.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 #include <filesystem>
 
 #include "exec/result_sink.hh"
+#include "exec/scheduler.hh"
+#include "harness/bench_cli.hh"
 #include "harness/figures.hh"
+#include "harness/runner.hh"
 #include "htm/htm_system.hh"
 #include "obs/collect.hh"
 #include "obs/metrics.hh"
@@ -144,6 +148,46 @@ TEST(Tracer, AbortEventsMatchHtmStatsExactly)
 
     // The profiler classified every abort too.
     EXPECT_EQ(sys.abortProfiler().totalAborts(), st.totalAborts());
+}
+
+TEST(Tracer, UnwritableTraceDirFailsTheRunLoudly)
+{
+    // A regular file as the parent makes the directory uncreatable,
+    // whatever the process's privileges.
+    const std::string base = tempDir("uhtm_obs_blocked");
+    const std::string blocker = base + "/file";
+    std::FILE *f = std::fopen(blocker.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    const std::string dir = blocker + "/traces";
+
+    obs::setTraceDir(dir);
+    EXPECT_THROW(Runner(MachineConfig::tiny(), HtmPolicy::uhtmOpt(2048)),
+                 std::runtime_error);
+
+    // Through the scheduler every job reports the error.
+    const figures::Figure *fig = figures::find("fig7");
+    ASSERT_NE(fig, nullptr);
+    figures::FigureOpts opts;
+    opts.tiny = true;
+    exec::SweepScheduler sched({2, opts.seed});
+    const auto results = sched.run(fig->makeJobs(opts));
+    obs::setTraceDir("");
+    ASSERT_FALSE(results.empty());
+    for (const auto &r : results) {
+        EXPECT_FALSE(r.ok) << r.key;
+        EXPECT_NE(r.error.find("trace file"), std::string::npos)
+            << r.error;
+    }
+
+    // The bench driver refuses up front, even for figures that never
+    // build a Runner.
+    BenchCliOpts cli;
+    cli.fig.tiny = true;
+    cli.traceDir = dir;
+    EXPECT_NE(runFigure(*figures::find("latency"), cli), 0);
+    obs::setTraceDir("");
+    std::filesystem::remove_all(base);
 }
 
 TEST(MetricsRegistry, PathsTypesSnapshotAndMerge)

@@ -27,7 +27,7 @@ check is opt-in: without the flag the comparison stays exactly as
 before.
 
 ANALYSIS_<figure>.json sidecars (uhtm-analysis-v1, written by
-uhtm_analyze from --trace output) are diffed exactly when both sides
+`uhtm_trace --out=DIR` from --trace output) are diffed exactly when both sides
 carry a pair: the analysis is deterministic integers, so any delta in
 the aggregate abort-causality, hot-line or critical-path numbers is a
 reported difference. A sidecar present on only one side is a note,

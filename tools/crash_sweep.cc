@@ -16,11 +16,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "harness/crash_sweep.hh"
+#include "sim/num_parse.hh"
 
 namespace
 {
@@ -45,14 +45,24 @@ usage(const char *argv0)
         argv0);
 }
 
+/**
+ * True if @p arg is `<prefix>N` with N a valid unsigned integer (C
+ * prefixes allowed: 0x for hex). A matching prefix with a malformed N
+ * returns false and sets @p bad.
+ */
 bool
-parseU64(const char *arg, const char *prefix, std::uint64_t *out)
+u64Flag(const char *arg, const char *prefix, std::uint64_t *out,
+        bool *bad)
 {
     const std::size_t n = std::strlen(prefix);
     if (std::strncmp(arg, prefix, n) != 0)
         return false;
-    *out = std::strtoull(arg + n, nullptr, 0);
-    return true;
+    if (uhtm::parseU64(arg + n, *out, 0))
+        return true;
+    std::fprintf(stderr, "%.*s: not an unsigned integer: '%s'\n",
+                 static_cast<int>(n - 1), prefix, arg + n);
+    *bad = true;
+    return false;
 }
 
 void
@@ -89,13 +99,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         std::uint64_t v = 0;
+        bool bad = false;
         if (std::strncmp(a, "--workload=", 11) == 0) {
             workload = a + 11;
-        } else if (parseU64(a, "--seed=", &v)) {
+        } else if (u64Flag(a, "--seed=", &v, &bad)) {
             cfg.seed = v;
-        } else if (parseU64(a, "--stride=", &v)) {
+        } else if (u64Flag(a, "--stride=", &v, &bad)) {
             cfg.fullImageStride = v;
-        } else if (parseU64(a, "--crash-at=", &v)) {
+        } else if (u64Flag(a, "--crash-at=", &v, &bad)) {
             crash_at = v;
         } else if (std::strcmp(a, "--break-commit-order") == 0) {
             cfg.breakCommitMarkOrdering = true;
@@ -108,6 +119,8 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else {
+            if (!bad)
+                std::fprintf(stderr, "unknown argument: %s\n", a);
             usage(argv[0]);
             return 2;
         }

@@ -1,43 +1,46 @@
 /**
  * @file
- * uhtm_trace: offline inventory/histogram viewer for the binary
- * lifecycle-event traces recorded by obs::Tracer (src/obs/event.hh).
- * The heavier causal analysis lives in uhtm_analyze; both share the
- * reader and Chrome exporter in src/obs/analyze.{hh,cc}.
+ * uhtm_trace: the one reader of the binary lifecycle-event traces
+ * recorded by obs::Tracer (src/obs/event.hh, DESIGN.md §9 and §14).
  *
  * Usage:
- *   uhtm_trace <trace.uhtmtrace | dir>... [--chrome out.json]
+ *   uhtm_trace <trace.uhtmtrace | dir>... [--figure=NAME] [--out=DIR]
+ *              [--chrome=FILE] [--text [--line=ADDR] [--tx=ID]]
  *
- * Prints, across all input files:
+ * The default report, across all input files:
  *   - an event-kind inventory;
- *   - the abort-cause breakdown (counts, share, protocol time) with
- *     per-cause totals that sum exactly to the trace's abort count;
- *   - per-stage latency histograms (commit and abort protocol) as
- *     power-of-two buckets.
+ *   - the causal abort analysis: every abort resolved to the
+ *     transaction that killed it (or to capacity / non-tx / explicit),
+ *     cascade depth, wasted work per cause and per conflict domain,
+ *     the hottest contended lines and, for service runs, the
+ *     per-request critical path whose stages tile the sojourn exactly;
+ *   - commit and abort protocol latency histograms.
  *
- * With --chrome, additionally emits Chrome trace_event JSON (open in
- * chrome://tracing or https://ui.perfetto.dev): one "X" complete event
- * per transaction from begin to commit/abort, instants for overflows,
- * signature hits, DRAM-cache evictions and NVM write-backs, and
- * killer→victim conflict flow arrows (trace v2). pid = input file (one
- * simulated machine each), tid = core.
+ * --text replaces the report with one line per event (file, tick,
+ * kind, core, tx, arg, extra). --line keeps the line-carrying events
+ * of one cache line (any byte address inside it, hex); --tx keeps one
+ * transaction's events plus the conflicts it won.
+ *
+ * --out=DIR writes the deterministic ANALYSIS_<figure>.json sidecar,
+ * byte-identical for any --jobs=N because runs are ordered by trace
+ * contents, not file names. --chrome writes Chrome trace_event JSON
+ * (chrome://tracing, ui.perfetto.dev) with killer→victim flow arrows.
  *
  * Accepts any trace version in [kTraceVersionMin, kTraceVersion]; a
- * record with an out-of-range event kind is a hard error (corrupt or
- * future-format file), not a silent truncation.
+ * record with an out-of-range event kind is a hard error.
  */
 
 #include <algorithm>
 #include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
+#include <filesystem>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/abort_profile.hh"
 #include "obs/analyze.hh"
+#include "sim/num_parse.hh"
 #include "sim/stats.hh"
 
 using namespace uhtm;
@@ -46,6 +49,19 @@ using obs::EventKind;
 
 namespace
 {
+
+constexpr const char *kUsage =
+    "usage: uhtm_trace <trace.uhtmtrace | dir>... [--figure=NAME]\n"
+    "                  [--out=DIR] [--chrome=FILE]\n"
+    "                  [--text [--line=ADDR] [--tx=ID]]\n";
+
+double
+pct(std::uint64_t part, std::uint64_t whole)
+{
+    return whole ? 100.0 * static_cast<double>(part) /
+                       static_cast<double>(whole)
+                 : 0.0;
+}
 
 void
 printHistogram(const char *title, const Distribution &d)
@@ -72,42 +88,170 @@ printHistogram(const char *title, const Distribution &d)
     }
 }
 
+void
+printAnalysis(const obs::Analysis &an)
+{
+    const obs::RunAnalysis &a = an.aggregate;
+    std::printf("\n%zu run(s), %" PRIu64 " commits, %" PRIu64
+                " aborts (abort rate %.2f%%)\n",
+                an.runs.size(), a.commits, a.aborts,
+                pct(a.aborts, a.commits + a.aborts));
+
+    // ---- abort resolution ----
+    if (a.aborts) {
+        std::printf("\nabort resolution (who killed whom)\n");
+        std::printf("  %-22s %10" PRIu64 " %6.2f%%\n", "by transaction",
+                    a.abortsByKiller, pct(a.abortsByKiller, a.aborts));
+        std::printf("  %-22s %10" PRIu64 " %6.2f%%\n", "capacity",
+                    a.abortsCapacity, pct(a.abortsCapacity, a.aborts));
+        std::printf("  %-22s %10" PRIu64 " %6.2f%%\n", "non-tx access",
+                    a.abortsNonTx, pct(a.abortsNonTx, a.aborts));
+        std::printf("  %-22s %10" PRIu64 " %6.2f%%\n", "explicit",
+                    a.abortsExplicit, pct(a.abortsExplicit, a.aborts));
+        std::printf("  %-22s %10" PRIu64 " %6.2f%%\n", "unresolved",
+                    a.abortsUnresolved,
+                    pct(a.abortsUnresolved, a.aborts));
+        std::printf("  max cascade depth %" PRIu64 "\n",
+                    a.maxCascadeDepth);
+        if (a.danglingDooms) {
+            std::printf("  (%" PRIu64
+                        " doomed tx without an abort record)\n",
+                        a.danglingDooms);
+        }
+
+        std::printf("\n%-26s %10s %16s %16s\n", "abort cause", "count",
+                    "wasted ns", "protocol ns");
+        for (unsigned c = 0; c < kAbortCauseCount; ++c) {
+            const obs::CauseAgg &ca = a.byCause[c];
+            if (!ca.count)
+                continue;
+            std::printf("%-26s %10" PRIu64 " %16.0f %16.0f\n",
+                        obs::abortClassName(static_cast<AbortCause>(c)),
+                        ca.count, nsFromTicks(ca.wastedTicks),
+                        nsFromTicks(ca.protocolTicks));
+        }
+
+        std::printf("\n%-26s %10s %16s %10s\n", "domain (tenant)",
+                    "aborts", "wasted ns", "kills");
+        for (const auto &[dom, da] : a.domains) {
+            const std::string name =
+                dom == obs::kUnknownDomain ? "unknown"
+                                           : "domain" + std::to_string(dom);
+            std::printf("%-26s %10" PRIu64 " %16.0f %10" PRIu64 "\n",
+                        name.c_str(), da.aborts,
+                        nsFromTicks(da.wastedTicks), da.kills);
+        }
+    }
+
+    // ---- contention heatmap ----
+    if (!a.hotLines.empty()) {
+        std::printf("\n%-20s %6s %10s %16s\n", "hot line", "mem",
+                    "aborts", "sig false hits");
+        for (const obs::LineStat &ls : a.hotLines) {
+            std::printf("0x%-18" PRIx64 " %6s %10" PRIu64 " %16" PRIu64
+                        "\n",
+                        static_cast<std::uint64_t>(ls.line),
+                        ls.nvm ? "nvm" : "dram", ls.aborts,
+                        ls.sigFalseHits);
+        }
+    }
+
+    // ---- critical path ----
+    std::uint64_t requests = 0;
+    for (const auto &[tenant, ta] : a.tenants) {
+        (void)tenant;
+        requests += ta.count;
+    }
+    if (requests) {
+        const Tick sum = a.stages.sum();
+        std::printf("\ncritical path over %" PRIu64
+                    " request(s), %" PRIu64 " exact (sojourn %.0f ns)\n",
+                    requests, a.requestsExact,
+                    nsFromTicks(a.sojournTicks));
+        const auto row = [&](const char *name, Tick t) {
+            std::printf("  %-16s %16.0f ns %6.2f%%\n", name,
+                        nsFromTicks(t), pct(t, sum));
+        };
+        row("queue wait", a.stages.queueWait);
+        row("exec", a.stages.exec);
+        row("abort protocol", a.stages.abortProtocol);
+        row("backoff", a.stages.backoff);
+        row("commit protocol", a.stages.commitProtocol);
+        row("log drain", a.stages.logDrain);
+        row("unattributed", a.stages.unattributed);
+    }
+}
+
+/** `<prefix>N` parsed in @p base; false (with a message) if malformed. */
+bool
+numFlag(const std::string &arg, const char *prefix, int base,
+        std::uint64_t &out)
+{
+    const std::string text = arg.substr(std::string(prefix).size());
+    if (parseU64(text, out, base))
+        return true;
+    std::fprintf(stderr, "uhtm_trace: %s needs %s, got '%s'\n", prefix,
+                 base == 16 ? "a hex address" : "an unsigned integer",
+                 text.c_str());
+    return false;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> inputs;
-    std::string chrome_out;
+    std::string figure = "trace";
+    std::string out_dir, chrome_out;
+    bool text = false;
+    obs::TextFilter filter;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--chrome") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--chrome needs an output path\n");
-                return 2;
-            }
-            chrome_out = argv[++i];
+        std::uint64_t v = 0;
+        if (arg.rfind("--figure=", 0) == 0) {
+            figure = arg.substr(9);
+        } else if (arg.rfind("--out=", 0) == 0) {
+            out_dir = arg.substr(6);
         } else if (arg.rfind("--chrome=", 0) == 0) {
             chrome_out = arg.substr(9);
+        } else if (arg == "--text") {
+            text = true;
+        } else if (arg.rfind("--line=", 0) == 0) {
+            if (!numFlag(arg, "--line=", 16, v))
+                return 2;
+            filter.line = v;
+        } else if (arg.rfind("--tx=", 0) == 0) {
+            if (!numFlag(arg, "--tx=", 10, v))
+                return 2;
+            filter.tx = v;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: uhtm_trace <trace.uhtmtrace | dir>... "
-                        "[--chrome out.json]\n");
+            std::printf("%s", kUsage);
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+            std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
+                         kUsage);
             return 2;
         } else {
             inputs.push_back(arg);
         }
     }
     if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "usage: uhtm_trace <trace.uhtmtrace | dir>... "
-                     "[--chrome out.json]\n");
+        std::fprintf(stderr, "%s", kUsage);
+        return 2;
+    }
+    if ((filter.line || filter.tx) && !text) {
+        std::fprintf(stderr, "uhtm_trace: --line/--tx need --text\n%s",
+                     kUsage);
         return 2;
     }
 
+    // One read loop: load every file and tally the inventory and the
+    // protocol latency histograms on the way.
     std::vector<obs::TraceData> files;
+    std::array<std::uint64_t, obs::kEventKindCount> kinds{};
+    std::uint64_t total = 0;
+    Distribution commit_ns, abort_ns;
     for (const auto &p : obs::expandTraceInputs(inputs)) {
         obs::TraceData tf;
         std::string err;
@@ -115,6 +259,14 @@ main(int argc, char **argv)
             std::fprintf(stderr, "uhtm_trace: %s\n", err.c_str());
             return 1;
         }
+        for (const Event &e : tf.events) {
+            ++kinds[static_cast<unsigned>(e.kind)];
+            if (e.kind == EventKind::TxCommitDone)
+                commit_ns.sample(nsFromTicks(e.arg));
+            else if (e.kind == EventKind::TxAbort)
+                abort_ns.sample(nsFromTicks(e.arg));
+        }
+        total += tf.events.size();
         files.push_back(std::move(tf));
     }
     if (files.empty()) {
@@ -122,136 +274,60 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // ---- inventory ----
-    std::array<std::uint64_t, obs::kEventKindCount> kinds{};
-    std::uint64_t total = 0;
-    for (const auto &f : files) {
-        for (const Event &e : f.events) {
-            ++kinds[static_cast<unsigned>(e.kind)];
-            ++total;
-        }
-    }
-    std::printf("%zu trace file(s), %" PRIu64 " events\n", files.size(),
-                total);
-    for (unsigned k = 1; k < obs::kEventKindCount; ++k) {
-        if (kinds[k]) {
-            std::printf("  %-14s %10" PRIu64 "\n",
-                        obs::eventKindName(static_cast<EventKind>(k)),
-                        kinds[k]);
-        }
-    }
-
-    // ---- abort attribution ----
-    struct CauseRow
-    {
-        std::uint64_t count = 0;
-        Tick protocolTicks = 0;
-    };
-    std::array<CauseRow, kAbortCauseCount> causes{};
-    // Per-domain (tenant) attribution: TxBegin carries the domain in
-    // arg, TxAbort only the cause, so join them on the tx id. Tx ids
-    // are only unique within one trace file, so the join map resets
-    // per file. Aborts whose begin fell outside the trace land in the
-    // "unknown" bucket so the table still sums exactly.
-    std::map<std::uint32_t, std::array<std::uint64_t, kAbortCauseCount>>
-        domainCauses;
-    std::uint64_t domainUnknown = 0;
-    Distribution commit_ns, abort_ns;
-    std::uint64_t commits = 0, aborts = 0;
-    for (const auto &f : files) {
-        std::unordered_map<TxId, std::uint32_t> txDomain;
-        for (const Event &e : f.events) {
-            if (e.kind == EventKind::TxBegin) {
-                txDomain[e.tx] = static_cast<std::uint32_t>(e.arg);
-            } else if (e.kind == EventKind::TxCommitDone) {
-                ++commits;
-                commit_ns.sample(nsFromTicks(e.arg));
-                txDomain.erase(e.tx);
-            } else if (e.kind == EventKind::TxAbort) {
-                ++aborts;
-                abort_ns.sample(nsFromTicks(e.arg));
-                CauseRow &row = causes[e.extra % kAbortCauseCount];
-                ++row.count;
-                row.protocolTicks += e.arg;
-                auto it = txDomain.find(e.tx);
-                if (it != txDomain.end()) {
-                    ++domainCauses[it->second][e.extra % kAbortCauseCount];
-                    txDomain.erase(it);
-                } else {
-                    ++domainUnknown;
-                }
-            }
-        }
-    }
-
-    std::printf("\ncommits %" PRIu64 ", aborts %" PRIu64
-                " (abort rate %.2f%%)\n",
-                commits, aborts,
-                commits + aborts
-                    ? 100.0 * static_cast<double>(aborts) /
-                          static_cast<double>(commits + aborts)
-                    : 0.0);
-    if (aborts) {
-        std::printf("%-26s %10s %8s %14s\n", "abort cause", "count",
-                    "share", "protocol ns");
-        std::uint64_t check = 0;
-        for (unsigned c = 0; c < kAbortCauseCount; ++c) {
-            if (!causes[c].count)
-                continue;
-            check += causes[c].count;
-            std::printf("%-26s %10" PRIu64 " %7.2f%% %14.0f\n",
-                        obs::abortClassName(static_cast<AbortCause>(c)),
-                        causes[c].count,
-                        100.0 * static_cast<double>(causes[c].count) /
-                            static_cast<double>(aborts),
-                        nsFromTicks(causes[c].protocolTicks));
-        }
-        std::printf("%-26s %10" PRIu64 "\n", "total", check);
-    }
-
-    if (aborts && (!domainCauses.empty() || domainUnknown)) {
-        std::printf("\n%-26s %10s %8s %26s\n", "domain (tenant)", "count",
-                    "share", "dominant cause");
-        std::uint64_t check = 0;
-        for (const auto &[dom, byCause] : domainCauses) {
-            std::uint64_t count = 0, best = 0;
-            unsigned bestCause = 0;
-            for (unsigned c = 0; c < kAbortCauseCount; ++c) {
-                count += byCause[c];
-                if (byCause[c] > best) {
-                    best = byCause[c];
-                    bestCause = c;
-                }
-            }
-            check += count;
-            std::printf("%-26s %10" PRIu64 " %7.2f%% %26s\n",
-                        ("domain" + std::to_string(dom)).c_str(), count,
-                        100.0 * static_cast<double>(count) /
-                            static_cast<double>(aborts),
-                        obs::abortClassName(
-                            static_cast<AbortCause>(bestCause)));
-        }
-        if (domainUnknown) {
-            check += domainUnknown;
-            std::printf("%-26s %10" PRIu64 " %7.2f%% %26s\n", "unknown",
-                        domainUnknown,
-                        100.0 * static_cast<double>(domainUnknown) /
-                            static_cast<double>(aborts),
-                        "-");
-        }
-        std::printf("%-26s %10" PRIu64 "\n", "total", check);
-    }
-
-    printHistogram("commit protocol latency", commit_ns);
-    printHistogram("abort protocol latency", abort_ns);
-
     if (!chrome_out.empty()) {
         std::string err;
         if (!obs::writeChromeTrace(files, chrome_out, &err)) {
             std::fprintf(stderr, "uhtm_trace: %s\n", err.c_str());
             return 1;
         }
-        std::printf("wrote %s\n", chrome_out.c_str());
+        if (!text)
+            std::printf("wrote %s\n", chrome_out.c_str());
+    }
+
+    if (text) {
+        for (const obs::TraceData &f : files)
+            obs::writeTraceText(f, filter, stdout);
+        if (out_dir.empty())
+            return 0;
+    } else {
+        std::printf("%zu trace file(s), %" PRIu64 " events\n",
+                    files.size(), total);
+        for (unsigned k = 1; k < obs::kEventKindCount; ++k) {
+            if (kinds[k]) {
+                std::printf("  %-14s %10" PRIu64 "\n",
+                            obs::eventKindName(static_cast<EventKind>(k)),
+                            kinds[k]);
+            }
+        }
+    }
+
+    const obs::Analysis an = obs::analyzeTraces(std::move(files));
+    if (!text) {
+        printAnalysis(an);
+        printHistogram("commit protocol latency", commit_ns);
+        printHistogram("abort protocol latency", abort_ns);
+    }
+
+    if (!out_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(out_dir, ec);
+        const std::string json_path =
+            (std::filesystem::path(out_dir) /
+             ("ANALYSIS_" + figure + ".json"))
+                .string();
+        const std::string body = obs::analysisJson(figure, an);
+        std::FILE *f = std::fopen(json_path.c_str(), "wb");
+        bool ok = f && std::fwrite(body.data(), 1, body.size(), f) ==
+                           body.size();
+        if (f && std::fclose(f) != 0)
+            ok = false;
+        if (!ok) {
+            std::fprintf(stderr, "uhtm_trace: cannot write %s\n",
+                         json_path.c_str());
+            return 1;
+        }
+        if (!text)
+            std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;
 }
