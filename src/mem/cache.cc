@@ -149,14 +149,4 @@ Cache::invalidate(Addr line_base)
     }
 }
 
-void
-Cache::reset()
-{
-    for (auto &line : _lines)
-        line.reset();
-    _tags.assign(_tags.size(), kInvalidTag);
-    _lruClock = 0;
-    _stats = Stats{};
-}
-
 } // namespace uhtm

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/layout.hh"
+#include "sim/reuse_alloc.hh"
 #include "sim/small_vec.hh"
 #include "sim/types.hh"
 
@@ -225,9 +226,6 @@ class Cache
             fn(*line);
     }
 
-    /** Drop all contents and statistics. */
-    void reset();
-
     unsigned ways() const { return _ways; }
     std::uint64_t numSets() const { return _numSets; }
     std::uint64_t capacityLines() const { return _numSets * _ways; }
@@ -245,7 +243,7 @@ class Cache
     unsigned _ways;
     bool _txAware;
     std::uint64_t _numSets;
-    std::vector<CacheLine> _lines;
+    std::vector<CacheLine, ReuseAlloc<CacheLine>> _lines;
     /**
      * Tag-only shadow of _lines, scanned by peek() so a set probe
      * touches a few contiguous words instead of whole CacheLines.
@@ -253,7 +251,7 @@ class Cache
      * forEachLine*), so a tag match is verified against the line; a
      * stale entry always points at an invalid line, never a wrong hit.
      */
-    std::vector<Addr> _tags;
+    std::vector<Addr, ReuseAlloc<Addr>> _tags;
     std::uint64_t _lruClock = 0;
     Stats _stats;
 };

@@ -163,20 +163,6 @@ DramCache::insert(Addr line_base, TxId tx)
     return victim;
 }
 
-void
-DramCache::commitTx(
-    TxId tx,
-    FunctionRef<void(Addr, std::array<std::uint8_t, kLineBytes> &)> fetch)
-{
-    for (auto &e : _entries) {
-        if (e.valid && e.tx == tx && !e.invalidated) {
-            fetch(e.tag, e.data);
-            e.tx = kNoTx;
-            e.dirty = true;
-        }
-    }
-}
-
 bool
 DramCache::commitEntry(Addr line_base, TxId tx,
                        const std::array<std::uint8_t, kLineBytes> &data)
@@ -188,17 +174,6 @@ DramCache::commitEntry(Addr line_base, TxId tx,
     e->tx = kNoTx;
     e->dirty = true;
     return true;
-}
-
-void
-DramCache::abortTx(TxId tx)
-{
-    for (auto &e : _entries) {
-        if (e.valid && e.tx == tx) {
-            e.invalidated = true;
-            ++_stats.invalidations;
-        }
-    }
 }
 
 void
@@ -228,16 +203,6 @@ DramCache::flushAll()
             e.dirty = false;
         }
     }
-}
-
-void
-DramCache::reset()
-{
-    for (auto &e : _entries)
-        e = DramCacheEntry{};
-    _tags.assign(_tags.size(), kInvalidTag);
-    _lruClock = 0;
-    _stats = Stats{};
 }
 
 } // namespace uhtm

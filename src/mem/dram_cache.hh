@@ -26,6 +26,7 @@
 
 #include "check/persist_probe.hh"
 #include "sim/function_ref.hh"
+#include "sim/reuse_alloc.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -110,18 +111,6 @@ class DramCache
     DramCacheEntry *insert(Addr line_base, TxId tx);
 
     /**
-     * Commit all entries belonging to @p tx: stamp them with the
-     * committed @p data source and clear the owner id. O(cache size);
-     * prefer commitEntry() driven by the overflow list in hot paths.
-     * @param fetch returns the committed bytes for a line (non-owning).
-     */
-    void
-    commitTx(TxId tx,
-             FunctionRef<void(Addr,
-                              std::array<std::uint8_t, kLineBytes> &)>
-                 fetch);
-
-    /**
      * Commit a single entry of @p tx (overflow-list driven): store the
      * committed bytes and clear the owner id.
      * @retval true the entry was found and committed.
@@ -129,17 +118,11 @@ class DramCache
     bool commitEntry(Addr line_base, TxId tx,
                      const std::array<std::uint8_t, kLineBytes> &data);
 
-    /** Abort: set the invalidate bit on every entry owned by @p tx. */
-    void abortTx(TxId tx);
-
     /** Invalidate one entry of @p tx (overflow-list driven abort). */
     void invalidateEntry(Addr line_base, TxId tx);
 
     /** Flush every committed dirty entry to in-place NVM (tests). */
     void flushAll();
-
-    /** Drop everything. */
-    void reset();
 
     template <typename Fn>
     void
@@ -162,12 +145,12 @@ class DramCache
 
     unsigned _ways;
     std::uint64_t _numSets;
-    std::vector<DramCacheEntry> _entries;
+    std::vector<DramCacheEntry, ReuseAlloc<DramCacheEntry>> _entries;
     /** Tag-only shadow of _entries: a set probe reads a few contiguous
      *  words instead of 96-byte entries (matters at 64 MiB capacity
      *  where probed sets are cold in the host cache). Tag matches are
      *  verified against the entry. */
-    std::vector<Addr> _tags;
+    std::vector<Addr, ReuseAlloc<Addr>> _tags;
     std::uint64_t _lruClock = 0;
     WriteBackFn _writeBack;
     EvictHookFn _evictHook;

@@ -1,0 +1,199 @@
+/**
+ * @file
+ * Per-thread recycling allocator for a job's large machine arrays.
+ *
+ * Every simulation job builds a fresh machine: the default geometry's
+ * LLC and DRAM-cache arrays plus their shadow tags are ~126 MiB. glibc
+ * serves blocks that large with mmap and returns them with munmap, so
+ * each job used to fault in and zero ~27 K fresh pages before it
+ * simulated anything. ReuseAlloc parks a freed block of at least
+ * kReuseMinBytes on a thread-local list instead, keyed by exact byte
+ * size, and the next allocation of that size on the same thread takes
+ * it back: the pages are already mapped, so building the next job's
+ * machine costs one pass of value-construction and no page faults.
+ *
+ * Rules:
+ *  - A thread parks at most one block per size and at most kReuseSlots
+ *    blocks in all: the four arrays of one default machine. A second
+ *    block of a parked size, every block under kReuseMinBytes, and a
+ *    block freed while every slot is taken go straight to
+ *    ::operator delete.
+ *  - The list is released when its thread exits.
+ *  - The allocator object is stateless, so a block freed on another
+ *    thread than the one that allocated it is still correct; it just
+ *    parks on the freeing thread. Jobs run wholly on one pool thread
+ *    (the rule `sim/arena.hh` relies on), so in practice it never is.
+ *
+ * Under ASan a parked block is poisoned and unpoisoned when it is
+ * taken back, so a use-after-free of a previous job's machine traps.
+ */
+
+#ifndef UHTM_SIM_REUSE_ALLOC_HH
+#define UHTM_SIM_REUSE_ALLOC_HH
+
+#include <atomic>
+#include <cstddef>
+#include <limits>
+#include <new>
+
+#include "sim/arena.hh"
+
+namespace uhtm
+{
+
+/** Smallest block that is parked for reuse instead of freed. */
+inline constexpr std::size_t kReuseMinBytes = std::size_t{1} << 20;
+
+/**
+ * Blocks a thread parks: Cache::_lines/_tags of the LLC and
+ * DramCache::_entries/_tags, the only arrays of a default machine that
+ * reach kReuseMinBytes.
+ */
+inline constexpr std::size_t kReuseSlots = 4;
+
+namespace detail
+{
+
+/** Bytes parked across all threads (diagnostics and tests). */
+inline std::atomic<std::size_t> g_reuseParkedBytes{0};
+
+/** One thread's parked blocks, at most one per exact byte size. */
+class ReuseList
+{
+  public:
+    ReuseList() = default;
+    ReuseList(const ReuseList &) = delete;
+    ReuseList &operator=(const ReuseList &) = delete;
+
+    ~ReuseList()
+    {
+        for (Slot &s : _slots) {
+            if (s.p)
+                release(s);
+        }
+    }
+
+    /** Take back the parked block of exactly @p bytes, or null. */
+    void *
+    take(std::size_t bytes)
+    {
+        for (Slot &s : _slots) {
+            if (s.p && s.bytes == bytes) {
+                void *p = s.p;
+                UHTM_ASAN_UNPOISON(p, bytes);
+                g_reuseParkedBytes -= bytes;
+                s = Slot{};
+                return p;
+            }
+        }
+        return nullptr;
+    }
+
+    /** Park @p p; false if its size is already parked or no slot is free. */
+    bool
+    park(void *p, std::size_t bytes)
+    {
+        Slot *free = nullptr;
+        for (Slot &s : _slots) {
+            if (s.p && s.bytes == bytes)
+                return false;
+            if (!s.p && !free)
+                free = &s;
+        }
+        if (!free)
+            return false;
+        *free = Slot{p, bytes};
+        UHTM_ASAN_POISON(p, bytes);
+        g_reuseParkedBytes += bytes;
+        return true;
+    }
+
+  private:
+    struct Slot
+    {
+        void *p = nullptr;
+        std::size_t bytes = 0;
+    };
+
+    static void
+    release(Slot &s)
+    {
+        UHTM_ASAN_UNPOISON(s.p, s.bytes);
+        g_reuseParkedBytes -= s.bytes;
+        ::operator delete(s.p, s.bytes);
+        s = Slot{};
+    }
+
+    Slot _slots[kReuseSlots];
+};
+
+inline thread_local ReuseList t_reuseList;
+
+} // namespace detail
+
+/** Allocate @p bytes, taking a parked block of that size if any. */
+inline void *
+reuseAllocate(std::size_t bytes)
+{
+    if (bytes >= kReuseMinBytes) {
+        if (void *p = detail::t_reuseList.take(bytes))
+            return p;
+    }
+    return ::operator new(bytes);
+}
+
+/** Free @p p (@p bytes long), parking it for reuse when it qualifies. */
+inline void
+reuseDeallocate(void *p, std::size_t bytes) noexcept
+{
+    if (bytes >= kReuseMinBytes && detail::t_reuseList.park(p, bytes))
+        return;
+    ::operator delete(p, bytes);
+}
+
+/** Bytes currently parked for reuse, summed over all threads. */
+inline std::size_t
+reuseParkedBytes()
+{
+    return detail::g_reuseParkedBytes;
+}
+
+/** Stateless std allocator over reuseAllocate/reuseDeallocate. */
+template <typename T>
+struct ReuseAlloc
+{
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+    using value_type = T;
+
+    ReuseAlloc() = default;
+
+    template <typename U>
+    ReuseAlloc(const ReuseAlloc<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
+            throw std::bad_array_new_length();
+        return static_cast<T *>(reuseAllocate(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        reuseDeallocate(p, n * sizeof(T));
+    }
+
+    friend bool
+    operator==(const ReuseAlloc &, const ReuseAlloc &) noexcept
+    {
+        return true;
+    }
+};
+
+} // namespace uhtm
+
+#endif // UHTM_SIM_REUSE_ALLOC_HH

@@ -1,16 +1,19 @@
 /**
  * @file
  * Arena allocator unit tests: size classes, recycling, reset semantics,
- * the self-describing arenaNew/arenaDelete header and ArenaScope.
+ * the self-describing arenaNew/arenaDelete header and ArenaScope; and
+ * the per-thread ReuseAlloc that recycles large machine arrays.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/arena.hh"
+#include "sim/reuse_alloc.hh"
 
 namespace uhtm
 {
@@ -161,6 +164,153 @@ TEST(Arena, FreeListBlocksArePoisonedUnderAsan)
     EXPECT_FALSE(__asan_address_is_poisoned(
         static_cast<std::byte *>(q) + sizeof(void *)));
     a.deallocate(q, cls);
+}
+#endif
+
+/**
+ * Run @p body on a new thread. A new thread starts with nothing parked,
+ * so blocks that earlier tests left in the main thread's few slots
+ * cannot change the outcome, and the thread's exit releases what the
+ * body parks.
+ */
+template <typename F>
+void
+onFreshThread(F body)
+{
+    std::thread t(body);
+    t.join();
+}
+
+TEST(ReuseAlloc, SameSizeBlockIsReused)
+{
+    onFreshThread([] {
+        const std::size_t before = reuseParkedBytes();
+        const std::size_t n = kReuseMinBytes;
+        void *p = reuseAllocate(n);
+        std::memset(p, 0x11, n);
+        reuseDeallocate(p, n);
+        EXPECT_EQ(reuseParkedBytes(), before + n);
+        void *q = reuseAllocate(n);
+        EXPECT_EQ(q, p) << "a parked block of the same size comes back";
+        EXPECT_EQ(reuseParkedBytes(), before);
+        // A different size never takes it.
+        reuseDeallocate(q, n);
+        void *r = reuseAllocate(n + 64);
+        EXPECT_NE(r, q);
+        EXPECT_EQ(reuseParkedBytes(), before + n);
+        reuseDeallocate(r, n + 64);
+        EXPECT_EQ(reuseAllocate(n), q);
+        EXPECT_EQ(reuseAllocate(n + 64), r);
+        reuseDeallocate(q, n);
+        reuseDeallocate(r, n + 64);
+    });
+}
+
+TEST(ReuseAlloc, AtMostOneBlockPerSizeIsParked)
+{
+    onFreshThread([] {
+        const std::size_t n = 2 * kReuseMinBytes;
+        void *a = reuseAllocate(n);
+        void *b = reuseAllocate(n);
+        const std::size_t before = reuseParkedBytes();
+        reuseDeallocate(a, n);
+        reuseDeallocate(b, n); // size already parked: freed
+        EXPECT_EQ(reuseParkedBytes(), before + n);
+        EXPECT_EQ(reuseAllocate(n), a);
+        EXPECT_EQ(reuseParkedBytes(), before);
+        reuseDeallocate(a, n);
+    });
+}
+
+TEST(ReuseAlloc, AtMostKReuseSlotsBlocksAreParked)
+{
+    onFreshThread([] {
+        const std::size_t before = reuseParkedBytes();
+        std::vector<std::size_t> sizes;
+        std::vector<void *> blocks;
+        for (std::size_t i = 1; i <= kReuseSlots + 1; ++i) {
+            sizes.push_back(i * kReuseMinBytes);
+            blocks.push_back(reuseAllocate(sizes.back()));
+        }
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            reuseDeallocate(blocks[i], sizes[i]);
+            if (i < kReuseSlots)
+                kept += sizes[i];
+        }
+        EXPECT_EQ(reuseParkedBytes(), before + kept)
+            << "the last size finds every slot taken and is freed";
+    });
+}
+
+TEST(ReuseAlloc, SmallBlocksAreNeverParked)
+{
+    onFreshThread([] {
+        const std::size_t before = reuseParkedBytes();
+        for (std::size_t n : {std::size_t{64}, std::size_t{64 * 1024},
+                              kReuseMinBytes - 1}) {
+            void *p = reuseAllocate(n);
+            std::memset(p, 0x22, n);
+            reuseDeallocate(p, n);
+            EXPECT_EQ(reuseParkedBytes(), before) << n << " bytes";
+        }
+    });
+}
+
+TEST(ReuseAlloc, TwoLiveSameSizeVectorsStayValid)
+{
+    onFreshThread([] {
+        using Vec = std::vector<std::uint64_t, ReuseAlloc<std::uint64_t>>;
+        const std::size_t n = kReuseMinBytes / sizeof(std::uint64_t);
+        {
+            // Park one block of the size first, so the pair below is one
+            // recycled and one fresh block.
+            Vec warm(n, 0);
+        }
+        Vec a(n, 0xaaaa), b(n, 0xbbbb);
+        ASSERT_NE(a.data(), b.data());
+        for (std::size_t i = 0; i < n; i += 4096) {
+            a[i] = i;
+            EXPECT_EQ(b[i], 0xbbbbu)
+                << "writes to one must not reach the other";
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(a[i], i % 4096 == 0 ? i : 0xaaaau);
+    });
+}
+
+TEST(ReuseAlloc, BlocksParkedInAThreadAreReleasedAtExit)
+{
+    const std::size_t before = reuseParkedBytes();
+    const std::size_t n = 3 * kReuseMinBytes;
+    std::size_t inside = 0;
+    std::thread t([&] {
+        {
+            std::vector<char, ReuseAlloc<char>> v(n, 'x');
+        }
+        inside = reuseParkedBytes();
+    });
+    t.join();
+    EXPECT_EQ(inside, before + n) << "the thread parked its block";
+    EXPECT_EQ(reuseParkedBytes(), before)
+        << "thread exit must release what it parked";
+}
+
+#ifdef UHTM_ASAN
+TEST(ReuseAlloc, ParkedBlocksArePoisonedUnderAsan)
+{
+    onFreshThread([] {
+        const std::size_t n = kReuseMinBytes;
+        auto *p = static_cast<std::byte *>(reuseAllocate(n));
+        reuseDeallocate(p, n);
+        EXPECT_TRUE(__asan_address_is_poisoned(p));
+        EXPECT_TRUE(__asan_address_is_poisoned(p + n - 1));
+        auto *q = static_cast<std::byte *>(reuseAllocate(n));
+        ASSERT_EQ(q, p);
+        EXPECT_FALSE(__asan_address_is_poisoned(q));
+        EXPECT_FALSE(__asan_address_is_poisoned(q + n - 1));
+        reuseDeallocate(q, n);
+    });
 }
 #endif
 

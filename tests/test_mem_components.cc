@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the passive memory components: backing store, memory
- * controller, cache tag array and DRAM cache.
+ * controller, cache tag array and DRAM cache, including rebuilding the
+ * cache arrays from a previous machine's recycled storage.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <thread>
 #include <vector>
 
 #include "check/fault_injector.hh"
@@ -14,6 +18,7 @@
 #include "mem/cache.hh"
 #include "mem/dram_cache.hh"
 #include "mem/mem_ctrl.hh"
+#include "sim/reuse_alloc.hh"
 
 namespace uhtm
 {
@@ -205,7 +210,7 @@ TEST(DramCache, AbortInvalidatesUncommitted)
     DramCache dc(KiB(64), 4);
     const Addr line = 0x400000000000ull;
     dc.insert(line, 7);
-    dc.abortTx(7);
+    dc.invalidateEntry(line, 7);
     EXPECT_EQ(dc.lookup(line), nullptr)
         << "invalidated entries must not hit";
     EXPECT_EQ(dc.stats().invalidations, 1u);
@@ -305,7 +310,7 @@ TEST(DramCache, EvictingDirtyTxLineMidTransactionDropsWithNotify)
 
     // Aborted (invalidated) entries are reclaimed silently: no probe
     // notification, no write-back, no drop accounting.
-    dc.abortTx(2);
+    dc.invalidateEntry(base + stride, 2);
     probe.recs.clear();
     dc.insert(base + 3 * stride, 4);
     EXPECT_TRUE(probe.recs.empty())
@@ -418,6 +423,116 @@ TEST(DramCache, LazyInPlaceNvmUpdateOrdersAfterCommitMark)
                   0xc0ffee00u + i);
 
     sys.setFaultInjector(nullptr);
+}
+
+TEST(MachineReuse, RecycledCachesCarryNoState)
+{
+    // A fresh thread starts with nothing parked, so the rebuilt caches
+    // are guaranteed to take the first pair's arrays back.
+    std::thread t([] {
+        const MachineConfig m;
+        const std::size_t parked = reuseParkedBytes();
+        std::uint64_t llcLines = 0, dcLines = 0;
+        auto lineAt = [](std::uint64_t i) {
+            return MemLayout::kNvmBase + i * kLineBytes;
+        };
+        {
+            Cache llc("LLC", m.llcBytes, m.llcWays);
+            DramCache dc(m.dramCacheBytes, m.dramCacheWays);
+            llcLines = llc.capacityLines();
+            dcLines = dc.capacityLines();
+            // Consecutive lines fill every way of every set.
+            for (std::uint64_t i = 0; i < llcLines; ++i) {
+                bool had = true;
+                CacheLine *cl = llc.victimFor(lineAt(i), had);
+                ASSERT_FALSE(had);
+                llc.install(cl, lineAt(i));
+                cl->dirty = true;
+                cl->txWriter = 1 + i % 7;
+                cl->addTxReader(3);
+                cl->sharers = 0xff;
+                cl->ownerCore = 2;
+                llc.lookup(lineAt(i));
+            }
+            std::array<std::uint8_t, kLineBytes> data;
+            data.fill(0x5a);
+            for (std::uint64_t i = 0; i < dcLines; ++i) {
+                dc.insert(lineAt(i), 1 + i % 7);
+                if (i % 2)
+                    dc.commitEntry(lineAt(i), 1 + i % 7, data);
+                dc.lookup(lineAt(i));
+            }
+            ASSERT_EQ(llc.stats().hits, llcLines);
+            ASSERT_EQ(dc.stats().hits, dcLines);
+            ASSERT_EQ(dc.stats().evictions, 0u) << "every entry resident";
+        }
+        const std::size_t arrays =
+            llcLines * (sizeof(CacheLine) + sizeof(Addr)) +
+            dcLines * (sizeof(DramCacheEntry) + sizeof(Addr));
+        EXPECT_EQ(reuseParkedBytes(), parked + arrays)
+            << "all four arrays are parked";
+
+        Cache llc("LLC", m.llcBytes, m.llcWays);
+        DramCache dc(m.dramCacheBytes, m.dramCacheWays);
+        EXPECT_EQ(reuseParkedBytes(), parked)
+            << "the rebuilt caches took every parked array back";
+
+        EXPECT_EQ(llc.stats().hits + llc.stats().misses +
+                      llc.stats().evictions + llc.stats().txEvictions +
+                      llc.stats().evictionsNvm,
+                  0u);
+        EXPECT_EQ(dc.stats().hits + dc.stats().misses +
+                      dc.stats().evictions + dc.stats().uncommittedDrops +
+                      dc.stats().writeBacks + dc.stats().invalidations,
+                  0u);
+        std::uint64_t visited = 0;
+        llc.forEachLine([&](CacheLine &) { ++visited; });
+        dc.forEach([&](DramCacheEntry &) { ++visited; });
+        EXPECT_EQ(visited, 0u) << "no line survives into the new machine";
+
+        std::uint64_t victims = 0;
+        for (std::uint64_t i = 0; i < llcLines; ++i) {
+            bool had = true;
+            llc.victimFor(lineAt(i), had);
+            victims += had;
+            EXPECT_EQ(llc.lookup(lineAt(i)), nullptr);
+        }
+        for (std::uint64_t i = 0; i < dcLines; ++i)
+            EXPECT_EQ(dc.lookup(lineAt(i)), nullptr);
+        EXPECT_EQ(victims, 0u) << "every way of every set is free";
+        EXPECT_EQ(llc.stats().misses, llcLines);
+        EXPECT_EQ(dc.stats().misses, dcLines);
+        EXPECT_EQ(llc.stats().hits + dc.stats().hits, 0u);
+    });
+    t.join();
+}
+
+TEST(MachineReuse, SecondMachineOnAThreadTakesFewPageFaults)
+{
+    // Build and destroy two default-config machines on one fresh
+    // thread. The first faults in its ~126 MiB of cache arrays; the
+    // second must reuse them instead of mapping fresh zero pages.
+    long first = 0, second = 0;
+    std::thread t([&] {
+        auto buildFaults = [] {
+            rusage before{}, after{};
+            getrusage(RUSAGE_THREAD, &before);
+            {
+                EventQueue eq;
+                HtmSystem sys(eq, MachineConfig{}, HtmPolicy::uhtmOpt(2048));
+            }
+            getrusage(RUSAGE_THREAD, &after);
+            return after.ru_minflt - before.ru_minflt;
+        };
+        first = buildFaults();
+        second = buildFaults();
+    });
+    t.join();
+    if (first < 4096)
+        GTEST_SKIP() << "the first machine took only " << first
+                     << " minor faults (huge pages?); nothing to compare";
+    EXPECT_LT(second * 10, first)
+        << "first machine " << first << " faults, second " << second;
 }
 
 } // namespace

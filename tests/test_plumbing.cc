@@ -97,14 +97,17 @@ TEST(CoTask, ValuesAndExceptionsPropagate)
     };
     int got = 0;
     bool caught = false;
-    auto root = [&](bool &c) -> Task {
+    // Named: the coroutine frame refers to the closure's captures, so
+    // the closure must outlive the task.
+    auto body = [&](bool &c) -> Task {
         got = co_await leaf(21);
         try {
             co_await thrower();
         } catch (const TxAborted &) {
             c = true;
         }
-    }(caught);
+    };
+    Task root = body(caught);
     root.start();
     eq.run();
     EXPECT_EQ(got, 42);
@@ -127,7 +130,8 @@ TEST(CoTask, DeepRecursionThroughCoroutines)
         }
     };
     std::uint64_t out = 0;
-    auto root = [&]() -> Task { out = co_await Fib::run(15); }();
+    auto body = [&]() -> Task { out = co_await Fib::run(15); };
+    Task root = body();
     root.start();
     EXPECT_EQ(out, 610u);
 }
