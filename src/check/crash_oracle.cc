@@ -1,5 +1,6 @@
 #include "check/crash_oracle.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -15,8 +16,9 @@ CrashOracle::ledgerFor(Addr line)
     auto it = _lines.find(line);
     if (it == _lines.end()) {
         // First sighting: the durable image still holds the pre-run /
-        // pre-write value (the InPlaceNvmWrite probe fires before the
-        // page update), which becomes the baseline.
+        // pre-write value (HtmSystem::enqueueDurableWrite notifies the
+        // InPlaceNvmWrite point before queueing the write), which
+        // becomes the baseline.
         it = _lines.emplace(line, LineLedger{}).first;
         _sys.durableNvm().readLine(line, it->second.baseline.data());
     }
@@ -77,10 +79,19 @@ CrashOracle::onPersist(const PersistEvent &ev, const std::uint8_t *bytes)
                              "uncommitted bytes written to in-place NVM");
             }
         }
+        // Points arrive at issue; keep the versions in the order the
+        // durable image applies them, (due, issue), so the newest
+        // version due by a crash tick is the one the image holds.
         DurableVersion v;
         v.tick = ev.completeAt;
         std::memcpy(v.bytes.data(), bytes, kLineBytes);
-        led.durables.push_back(v);
+        led.durables.insert(
+            std::upper_bound(led.durables.begin(), led.durables.end(),
+                             v.tick,
+                             [](Tick t, const DurableVersion &d) {
+                                 return t < d.tick;
+                             }),
+            v);
         break;
       }
       default:

@@ -114,7 +114,8 @@ class CrashOracle
         LineBytes baseline{};
         /** Written speculatively by some transaction (redo-logged). */
         bool speculative = false;
-        /** In completion-tick order (notifications are in sim order). */
+        /** In (completion tick, issue) order: the durable image's
+         *  apply order. */
         std::vector<DurableVersion> durables;
         /** In commit order (reports arrive at commit issue). */
         std::vector<TxVersion> committed;

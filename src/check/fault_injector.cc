@@ -23,7 +23,8 @@ FaultInjector::notifyPersist(PersistPoint point, Addr line,
     if (_armed && ev.index == _crashAt) {
         // The power failure takes effect when this point's write
         // completes: everything ordered before it is durable, every
-        // in-flight write after it is lost (its event never runs).
+        // in-flight write after it is lost (its event never runs, or
+        // its queued in-place write is past the crash horizon).
         _eq.scheduleAt(at, [this] {
             _crashed = true;
             _crashTick = _eq.now();

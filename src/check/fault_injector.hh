@@ -4,8 +4,10 @@
  *
  * The FaultInjector is the concrete PersistProbe attached to the
  * machine's persistence-ordering points (redo/undo log appends, commit
- * and abort marks, DRAM-cache write-backs and drops, in-place NVM
- * writes). Every notification becomes one numbered *crash point* in a
+ * and abort marks, DRAM-cache write-backs and drops, and in-place NVM
+ * writes, notified at issue by HtmSystem::enqueueDurableWrite). It only
+ * observes: the durable-write path is the same with or without it.
+ * Every notification becomes one numbered *crash point* in a
  * deterministic, replayable schedule:
  *
  *   - sweep mode: an onPoint callback lets the harness schedule an

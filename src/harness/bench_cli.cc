@@ -318,6 +318,15 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
             return false;
         }
     }
+    // A sidecar without a directory to land in would be silently lost.
+    const char *sidecar = opts.metrics       ? "--metrics"
+                          : opts.wall        ? "--wall"
+                          : opts.selfProfile ? "--self-profile"
+                                             : nullptr;
+    if (sidecar && opts.outDir.empty()) {
+        err = std::string(sidecar) + ": needs --out=DIR";
+        return false;
+    }
     return true;
 }
 
@@ -419,7 +428,7 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
     for (const exec::JobResult &r : results)
         events += r.metrics.hostEventsExecuted;
 
-    if (opts.wall && !opts.outDir.empty()) {
+    if (opts.wall) {
         std::string terr;
         if (!writeTimingSidecar(opts.outDir, figure.name, wallSeconds,
                                 results.size(), scheduler.threads(),
@@ -430,7 +439,7 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         }
     }
 
-    if (opts.selfProfile && !opts.outDir.empty()) {
+    if (opts.selfProfile) {
         std::string perr;
         if (!writeProfileSidecar(opts.outDir, figure.name, wallSeconds,
                                  scheduler.threads(), perr)) {

@@ -80,7 +80,8 @@ struct BenchCliOpts
 
 /**
  * Parse flags from argv[firstArg..). Returns false and sets @p err on
- * an unknown or malformed argument.
+ * an unknown or malformed argument, or on a sidecar flag (--metrics,
+ * --wall, --self-profile) without --out.
  */
 bool parseBenchArgs(int argc, char **argv, int firstArg,
                     BenchCliOpts &opts, std::string &err);

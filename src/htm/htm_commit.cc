@@ -123,6 +123,22 @@ HtmSystem::issueCommit(CoreId core)
         }
         _store.writeLine(line, buf.data());
     }
+    // Report the commit before the DRAM-cache fills below: their
+    // evictions can queue in-place writes of this transaction's own
+    // lines, which the oracle must already know as committed data.
+    if (_faultInjector && !nvm_lines.empty()) {
+        FaultInjector::CommittedTx rec;
+        rec.tx = tx->id;
+        rec.commitDurableAt = commit_durable_at;
+        rec.nvmLines.reserve(nvm_lines.size());
+        for (Addr line : nvm_lines) {
+            rec.nvmLines.push_back(
+                FaultInjector::CommittedLine{line,
+                                             tx->writeBuffer.at(line)});
+        }
+        _faultInjector->onTxCommitted(std::move(rec));
+    }
+
     if (!nvm_lines.empty()) {
         _redoLog.commit(tx->id, commit_durable_at);
         for (Addr line : nvm_lines) {
@@ -139,19 +155,6 @@ HtmSystem::issueCommit(CoreId core)
         }
     }
     _undoLog.commit(tx->id);
-
-    if (_faultInjector && !nvm_lines.empty()) {
-        FaultInjector::CommittedTx rec;
-        rec.tx = tx->id;
-        rec.commitDurableAt = commit_durable_at;
-        rec.nvmLines.reserve(nvm_lines.size());
-        for (Addr line : nvm_lines) {
-            rec.nvmLines.push_back(
-                FaultInjector::CommittedLine{line,
-                                             tx->writeBuffer.at(line)});
-        }
-        _faultInjector->onTxCommitted(std::move(rec));
-    }
 
     // Clear this core's transactional cache metadata; LLC reader marks
     // are pruned lazily via the TSS.

@@ -82,22 +82,19 @@ void
 HtmSystem::enqueueDurableWrite(
     Addr line, Tick due, const std::array<std::uint8_t, kLineBytes> &bytes)
 {
+    // The crash schedule records the write at issue, durable at due,
+    // like every other persist point. Notify before queueing: an
+    // oracle's first sighting of the line reads the pre-write image.
     if (_faultInjector) {
-        // Legacy per-line event: the crash-sweep oracle depends on the
-        // exact same-tick ordering of these writes against the
-        // injector's persistence probes.
-        auto copy = bytes;
-        _eq.scheduleAt(due, [this, line, copy] {
-            _durableNvm.writeLine(line, copy.data());
-        });
-        return;
+        _faultInjector->notifyPersist(PersistPoint::InPlaceNvmWrite, line,
+                                      due, bytes.data());
     }
-    // Event-free batch: appended in seq order, applied in (due, seq)
-    // order at the next observation of the durable image. A large
-    // batch flushes its already-due prefix opportunistically so memory
-    // stays bounded on long runs that never observe the image.
-    _durablePending.push_back(
-        DurablePending{due, _durableSeq++, line, bytes});
+    // Event-free batch: appended in issue (seq) order, applied in
+    // (due, seq) order at the next observation of the durable image.
+    // A large batch flushes its already-due prefix opportunistically
+    // so memory stays bounded on long runs that never observe it.
+    _durablePending.push_back(DurablePending{due, line, bytes});
+    _durableMinDue = std::min(_durableMinDue, due);
     if (_durablePending.size() >= kDurableFlushBatch)
         flushDurableWrites(_eq.now());
 }
@@ -105,13 +102,15 @@ HtmSystem::enqueueDurableWrite(
 void
 HtmSystem::flushDurableWrites(Tick upTo)
 {
-    if (_durablePending.empty())
+    // Nothing due: crash sweeps observe the image at every check, so
+    // skip the partition instead of walking the whole batch.
+    if (_durablePending.empty() || upTo < _durableMinDue)
         return;
     UHTM_SELF_PROFILE_SCOPE(LogDrain);
     // The batch is in seq (append) order; keep that order among the
     // not-yet-due survivors and apply the due entries sorted stably by
-    // due — i.e. in (due, seq) order, exactly the order the per-line
-    // events fired in, so the last write to a line still wins.
+    // due — i.e. in (due, seq) order, so the write that completes last
+    // wins even when it was issued first.
     auto mid = std::stable_partition(
         _durablePending.begin(), _durablePending.end(),
         [upTo](const DurablePending &p) { return p.due <= upTo; });
@@ -122,6 +121,9 @@ HtmSystem::flushDurableWrites(Tick upTo)
     for (auto it = _durablePending.begin(); it != mid; ++it)
         _durableNvm.writeLine(it->line, it->bytes.data());
     _durablePending.erase(_durablePending.begin(), mid);
+    _durableMinDue = ~Tick(0);
+    for (const DurablePending &p : _durablePending)
+        _durableMinDue = std::min(_durableMinDue, p.due);
 }
 
 void
@@ -360,28 +362,9 @@ void
 HtmSystem::setFaultInjector(FaultInjector *fi)
 {
     _faultInjector = fi;
-    if (fi && !_durablePending.empty()) {
-        // Convert queued coalesced writes into the per-line events the
-        // injected-crash path expects, preserving (due, seq) order.
-        std::sort(_durablePending.begin(), _durablePending.end(),
-                  [](const DurablePending &a, const DurablePending &b) {
-                      if (a.due != b.due)
-                          return a.due < b.due;
-                      return a.seq < b.seq;
-                  });
-        for (const DurablePending &p : _durablePending) {
-            const Addr line = p.line;
-            const auto bytes = p.bytes;
-            _eq.scheduleAt(p.due, [this, line, bytes] {
-                _durableNvm.writeLine(line, bytes.data());
-            });
-        }
-        _durablePending.clear();
-    }
     _redoLog.setProbe(fi);
     _undoLog.setProbe(fi);
     _dramCache.setProbe(fi);
-    _durableNvm.setProbe(fi);
 }
 
 BackingStore

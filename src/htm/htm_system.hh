@@ -273,10 +273,11 @@ class HtmSystem
     BackingStore recoverAfterCrash();
 
     /**
-     * Durable in-place NVM image (pre-replay), for tests. Applies any
-     * queued lazy write-backs first (see flushDurableWrites): all of
-     * them once the run has drained, only those due by the current tick
-     * while events are still pending (crash semantics).
+     * Durable in-place NVM image (pre-replay), for tests and the crash
+     * oracle. Applies the queued in-place writes first (see
+     * flushDurableWrites): all of them once the run has drained, only
+     * those due by the current tick while events are still pending or
+     * a crash stopped the queue. Cheap when nothing is due.
      */
     const BackingStore &
     durableNvm()
@@ -287,9 +288,10 @@ class HtmSystem
 
     /**
      * Attach (or with nullptr detach) a crash-point fault injector:
-     * wires the persistence probes of the logs, the DRAM cache and the
-     * durable NVM image, and enables transaction-outcome reports from
-     * the commit/abort protocols.
+     * wires the persistence probes of the logs and the DRAM cache, and
+     * enables in-place NVM write points and transaction-outcome reports
+     * from the commit/abort protocols. The durable-write path is the
+     * same with or without an injector.
      */
     void setFaultInjector(FaultInjector *fi);
 
@@ -463,21 +465,19 @@ class HtmSystem
 
     /**
      * Queue a durable in-place NVM image update of @p bytes at tick
-     * @p due. Without a fault injector attached, updates are fully
-     * event-free: entries append to a batch that is applied in
+     * @p due; the only way the durable image changes after setup. No
+     * event is scheduled: entries append to a batch that is applied in
      * (due, seq) order either when it reaches kDurableFlushBatch
      * entries (only those already due) or at the next observation of
-     * the durable image (durableNvm(), recoverAfterCrash(),
-     * setFaultInjector()) — no event per line, no drain events at all.
-     * With a fault injector, the legacy per-line events are kept (crash
-     * sweeps depend on their exact same-tick sequencing against the
-     * injector's probes).
+     * the durable image (durableNvm(), recoverAfterCrash()). An
+     * attached fault injector is notified of the InPlaceNvmWrite point
+     * here, at issue, completing at @p due.
      */
     void enqueueDurableWrite(Addr line, Tick due,
                              const std::array<std::uint8_t, kLineBytes> &bytes);
 
     /** Apply queued durable writes with due <= @p upTo, in (due, seq)
-     *  order (last write to a line wins, as the per-line events did). */
+     *  order: of two writes to a line, the later-due one wins. */
     void flushDurableWrites(Tick upTo);
 
     /**
@@ -546,15 +546,16 @@ class HtmSystem
     struct DurablePending
     {
         Tick due;
-        std::uint64_t seq; ///< enqueue order; later wins on tick ties
         Addr line;
         std::array<std::uint8_t, kLineBytes> bytes;
     };
 
-    /** Pending batch, always in seq (append) order; flushed in
-     *  (due, seq) order by flushDurableWrites(). */
+    /** Pending batch, always in issue (append) order, so a write's
+     *  position is its seq; flushed in (due, seq) order by
+     *  flushDurableWrites(). */
     std::vector<DurablePending> _durablePending;
-    std::uint64_t _durableSeq = 0;
+    /** Earliest due tick in the batch (~0 when empty). */
+    Tick _durableMinDue = ~Tick(0);
     /** Batch size that triggers an opportunistic already-due flush. */
     static constexpr std::size_t kDurableFlushBatch = 4096;
 

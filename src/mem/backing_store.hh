@@ -24,7 +24,6 @@
 #include <cstring>
 #include <memory>
 
-#include "check/persist_probe.hh"
 #include "sim/line_map.hh"
 #include "sim/types.hh"
 
@@ -42,7 +41,7 @@ class BackingStore
     BackingStore &operator=(const BackingStore &) = delete;
 
     BackingStore(BackingStore &&o) noexcept
-        : _pages(std::move(o._pages)), _probe(o._probe)
+        : _pages(std::move(o._pages))
     {
         o.dropMemo();
     }
@@ -52,7 +51,6 @@ class BackingStore
     {
         if (this != &o) {
             _pages = std::move(o._pages);
-            _probe = o._probe;
             dropMemo();
             o.dropMemo();
         }
@@ -144,12 +142,6 @@ class BackingStore
     void
     writeLine(Addr line_base, const std::uint8_t in[kLineBytes])
     {
-        // Notify before the page update so the probe can still observe
-        // the pre-write image of the line.
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::InPlaceNvmWrite,
-                                  line_base, 0, in);
-        }
         if ((line_base & (kLineBytes - 1)) == 0) {
             std::memcpy(pageFor(pageBase(line_base)).data() +
                             (line_base & (kPageBytes - 1)),
@@ -158,13 +150,6 @@ class BackingStore
         }
         write(line_base, in, kLineBytes);
     }
-
-    /**
-     * Attach a persistence probe, notified on every line write. Only
-     * meaningful on the durable NVM image; recovery scratch copies
-     * (copyFrom) never inherit the probe.
-     */
-    void setProbe(PersistProbe *probe) { _probe = probe; }
 
     /** Number of materialised pages (for tests and memory accounting). */
     std::size_t pageCount() const { return _pages.size(); }
@@ -236,7 +221,6 @@ class BackingStore
     }
 
     LineMap<std::unique_ptr<Page>> _pages;
-    PersistProbe *_probe = nullptr;
 
     /** MRU page memo (mutable: reads refresh it too). */
     mutable Addr _memoBase = kNoPage;

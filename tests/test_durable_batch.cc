@@ -1,18 +1,20 @@
 /**
  * @file
- * Batched lazy-NVM maintenance tests: the event-free durable-write
- * batch (see HtmSystem::enqueueDurableWrite / flushDurableWrites) must
- * be observationally identical to the legacy one-event-per-line drain
- * it replaced — same (due, seq) application order (last write to a
- * line wins), crash semantics at mid-run observation (only writes due
- * by the frozen tick are visible), and no dependence of the final
- * image or stats on how often the image is observed.
+ * Durable-write path tests: the event-free batch behind every in-place
+ * NVM image update (HtmSystem::enqueueDurableWrite /
+ * flushDurableWrites) applies writes in (due, seq) order, gives crash
+ * semantics at mid-run observation (only writes due by the frozen tick
+ * are visible), does not depend on how often the image is observed,
+ * and is the same path with or without a fault injector attached.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "check/crash_oracle.hh"
+#include "check/fault_injector.hh"
+#include "harness/crash_sweep.hh"
 #include "htm/tx_context.hh"
 
 namespace uhtm
@@ -53,6 +55,46 @@ TEST(DurableBatch, LastWriteToALineWins)
     // (due, seq) order means the final values are the last ones.
     EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 3u);
     EXPECT_EQ(f.sys.durableNvm().read64(kNvm + 8), 7u);
+}
+
+TEST(DurableBatch, LaterDueWriteWinsOverLaterIssuedWrite)
+{
+    // A non-transactional NVM store queues its durable update at the
+    // access's own completion tick, so a store that misses to memory
+    // is due after a later store to the same line that hits the L1.
+    // The image applies them in (due, seq) order: the write that
+    // completes last, here the first one issued, is what stays durable.
+    Fixture f;
+    const auto miss = f.sys.issueAccess(0, f.dom, kNvm, true, false, 1);
+    const auto hit = f.sys.issueAccess(0, f.dom, kNvm, true, false, 2);
+    ASSERT_GT(miss.completeAt, hit.completeAt)
+        << "the second store must complete first for this test to "
+           "reverse the issue order";
+    EXPECT_EQ(f.sys.setupRead64(kNvm), 2u);
+    EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 1u)
+        << "the later-due write must be applied last";
+}
+
+TEST(DurableBatch, CrashOracleExpectsTheApplyOrder)
+{
+    // The oracle records in-place writes at issue, so it must order
+    // them by due tick as the image does: after two stores whose due
+    // ticks reverse their issue order, recovery holds the first value
+    // and that is what the oracle expects.
+    Fixture f;
+    FaultInjector fi(f.eq);
+    CrashOracle oracle(f.sys);
+    fi.setOracle(&oracle);
+    f.sys.setFaultInjector(&fi);
+    const auto miss = f.sys.issueAccess(0, f.dom, kNvm, true, false, 1);
+    f.sys.issueAccess(0, f.dom, kNvm, true, false, 2);
+    f.eq.scheduleAt(miss.completeAt, [] {});
+    f.eq.run(); // both writes are due by the check's tick
+    EXPECT_EQ(fi.countOf(PersistPoint::InPlaceNvmWrite), 2u);
+    EXPECT_EQ(oracle.checkCrashAt(f.eq.now(), true, CrashOracle::kNoPoint),
+              0u)
+        << oracle.violations().front().detail;
+    f.sys.setFaultInjector(nullptr);
 }
 
 TEST(DurableBatch, MidRunObservationSeesOnlyDueWrites)
@@ -119,6 +161,44 @@ TEST(DurableBatch, LargeBatchesStayBoundedAndComplete)
         EXPECT_EQ(f.sys.durableNvm().read64(kNvm + static_cast<Addr>(i) *
                                                        kLineBytes),
                   static_cast<std::uint64_t>(i) + 1);
+}
+
+/** Shape of one kv_hybrid run under cache pressure. */
+struct RunShape
+{
+    std::uint64_t events;
+    Tick end;
+    std::uint64_t commits;
+};
+
+RunShape
+kvHybridUnderCachePressure(bool attach_injector)
+{
+    MachineConfig m = MachineConfig::tiny();
+    m.llcBytes = KiB(16);
+    m.dramCacheBytes = KiB(16);
+    Runner r(m, HtmPolicy::uhtmOpt(1024), 3);
+    FaultInjector fi(r.eventQueue());
+    if (attach_injector)
+        r.system().setFaultInjector(&fi);
+    CrashSweepRunner::kvHybridWorkload()(r);
+    r.run();
+    r.system().setFaultInjector(nullptr);
+    return {r.eventQueue().executed(), r.eventQueue().now(),
+            r.system().stats().commits};
+}
+
+TEST(DurableBatch, UnarmedInjectorDoesNotChangeTheRun)
+{
+    // Crash sweeps must check the durable-write path benchmarks run:
+    // attaching an (unarmed) injector only observes, so the simulated
+    // run is event-for-event and tick-for-tick the same.
+    const RunShape plain = kvHybridUnderCachePressure(false);
+    const RunShape probed = kvHybridUnderCachePressure(true);
+    EXPECT_EQ(probed.events, plain.events);
+    EXPECT_EQ(probed.end, plain.end);
+    EXPECT_EQ(probed.commits, plain.commits);
+    EXPECT_GT(plain.commits, 0u);
 }
 
 } // namespace

@@ -102,6 +102,8 @@ TEST(NumParse, BenchFlagsRejectMalformedNumbers)
         "--tenants=65", "--tenants=two",    "--zipf-theta=",
         "--zipf-theta=nan", "--zipf-theta=-1", "--rw-mix=0.5.1",
         "--rw-mix=2",
+        // Sidecars with nowhere to go would be computed and dropped.
+        "--metrics", "--wall", "--self-profile",
     };
     for (const char *flag : bad) {
         BenchCliOpts opts;
@@ -122,6 +124,10 @@ TEST(NumParse, BenchFlagsRejectMalformedNumbers)
     EXPECT_EQ(opts.zipfThetaSpec, "0.99");
     EXPECT_NE(benchArgError("--bogus=1", opts).find("unknown argument"),
               std::string::npos);
+    // Once --out is set, the sidecar flags are accepted.
+    EXPECT_EQ(benchArgError("--out=o", opts), "");
+    for (const char *flag : {"--metrics", "--wall", "--self-profile"})
+        EXPECT_EQ(benchArgError(flag, opts), "") << flag;
 }
 
 } // namespace
