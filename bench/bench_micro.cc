@@ -251,7 +251,6 @@ static void
 BM_CacheLineCopyWithReaders(benchmark::State &state)
 {
     CacheLine src;
-    src.valid = true;
     src.tag = 0x1000;
     for (int i = 0; i < static_cast<int>(state.range(0)); ++i)
         src.addTxReader(static_cast<TxId>(i + 1));

@@ -209,9 +209,10 @@ HtmSystem::issueAbort(CoreId core)
 
     // Flush pipeline state, invalidate the private write set.
     Tick t = start + _mcfg.l1Latency;
-    _l1s[core]->forEachLine([&](CacheLine &cl) {
+    Cache &l1 = *_l1s[core];
+    l1.forEachLine([&](CacheLine &cl) {
         if (cl.txWriter == tx->id) {
-            cl.reset();
+            l1.drop(cl);
         } else {
             cl.removeTxReader(tx->id);
         }
@@ -226,7 +227,7 @@ HtmSystem::issueAbort(CoreId core)
             for (CoreId c = 0; c < _mcfg.cores; ++c)
                 if ((s->sharers >> c) & 1)
                     _l1s[c]->invalidate(line);
-            s->reset();
+            _llc.drop(*s);
         }
     }
 

@@ -287,7 +287,8 @@ HtmSystem::suspendTx(CoreId core)
     // Address-sorted walk: the overflow-list entries recorded here feed
     // the commit/abort DRAM-cache walks, so their order must not depend
     // on cache placement.
-    _l1s[core]->forEachLineSorted([&](CacheLine &cl) {
+    Cache &l1 = *_l1s[core];
+    l1.forEachLineSorted([&](CacheLine &cl) {
         const Addr line = cl.tag;
         CacheLine *s = _llc.peek(line);
         if (s) {
@@ -299,7 +300,7 @@ HtmSystem::suspendTx(CoreId core)
         }
         if (cl.txWriter == tx->id)
             tx->noteOverflowListEntry(line);
-        cl.reset();
+        l1.drop(cl);
     });
     _coreTx[core] = nullptr;
     tx->core = kNoCore;

@@ -8,40 +8,41 @@ namespace uhtm
 namespace
 {
 
-/** Round down to the previous power of two (at least 1). */
+/** Number of sets for @p size_bytes and @p ways, rounded down to a
+ *  power of two. */
 std::uint64_t
-floorPow2(std::uint64_t v)
+setsFor(std::uint64_t size_bytes, unsigned ways)
 {
-    std::uint64_t p = 1;
-    while ((p << 1) <= v)
-        p <<= 1;
-    return p;
+    assert(ways >= 1);
+    const std::uint64_t lines = size_bytes / kLineBytes;
+    assert(lines >= ways);
+    std::uint64_t sets = 1;
+    while ((sets << 1) <= lines / ways)
+        sets <<= 1;
+    return sets;
 }
 
 } // namespace
 
 Cache::Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
              bool tx_aware_replacement)
-    : _name(std::move(name)), _ways(ways), _txAware(tx_aware_replacement)
+    : _name(std::move(name)), _ways(ways), _txAware(tx_aware_replacement),
+      _numSets(setsFor(size_bytes, ways)), _lines(_numSets * _ways),
+      _tags(_numSets * _ways, kInvalidTag)
 {
-    assert(ways >= 1);
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    assert(lines >= ways);
-    _numSets = floorPow2(lines / ways);
-    _lines.resize(_numSets * _ways);
-    _tags.assign(_numSets * _ways, kInvalidTag);
+}
+
+Cache::~Cache()
+{
+    for (std::size_t i = 0; i < _tags.size(); ++i)
+        if (_tags[i] != kInvalidTag)
+            _lines.destroy(i);
 }
 
 std::uint64_t
 Cache::setIndex(Addr line_base) const
 {
     return lineNumber(line_base) & (_numSets - 1);
-}
-
-CacheLine *
-Cache::setBase(std::uint64_t set)
-{
-    return &_lines[set * _ways];
 }
 
 CacheLine *
@@ -62,14 +63,9 @@ Cache::peek(Addr line_base)
 {
     const std::uint64_t base = setIndex(line_base) * _ways;
     const Addr *tags = &_tags[base];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (tags[w] != line_base)
-            continue;
-        CacheLine &cl = _lines[base + w];
-        // Verify: external in-place resets leave stale shadow tags.
-        if (cl.valid && cl.tag == line_base)
-            return &cl;
-    }
+    for (unsigned w = 0; w < _ways; ++w)
+        if (tags[w] == line_base)
+            return &_lines[base + w];
     return nullptr;
 }
 
@@ -93,7 +89,9 @@ CacheLine *
 Cache::victimFor(Addr line_base, bool &had_victim)
 {
     assert(!peek(line_base) && "line must not already be present");
-    CacheLine *set = setBase(setIndex(line_base));
+    const std::uint64_t base = setIndex(line_base) * _ways;
+    const Addr *tags = &_tags[base];
+    CacheLine *set = &_lines[base];
 
     // Single pass; candidate preferences and way-order tie-breaks match
     // the original three-pass selection exactly (first invalid way,
@@ -103,11 +101,11 @@ Cache::victimFor(Addr line_base, bool &had_victim)
     CacheLine *nonTxLru = nullptr;
     CacheLine *lru = nullptr;
     for (unsigned w = 0; w < _ways; ++w) {
-        CacheLine &cl = set[w];
-        if (!cl.valid) {
-            victim = &cl;
+        if (tags[w] == kInvalidTag) {
+            victim = &set[w];
             break;
         }
+        CacheLine &cl = set[w];
         if (_txAware && !cl.txBit() &&
             (!nonTxLru || cl.lru < nonTxLru->lru)) {
             nonTxLru = &cl;
@@ -115,11 +113,9 @@ Cache::victimFor(Addr line_base, bool &had_victim)
         if (!lru || cl.lru < lru->lru)
             lru = &cl;
     }
-    if (!victim)
-        victim = _txAware && nonTxLru ? nonTxLru : lru;
-
-    had_victim = victim->valid;
+    had_victim = !victim;
     if (had_victim) {
+        victim = _txAware && nonTxLru ? nonTxLru : lru;
         ++_stats.evictions;
         if (victim->txBit())
             ++_stats.txEvictions;
@@ -132,21 +128,28 @@ Cache::victimFor(Addr line_base, bool &had_victim)
 void
 Cache::install(CacheLine *slot, Addr line_base)
 {
-    slot->reset();
-    slot->valid = true;
-    slot->tag = line_base;
+    const std::size_t i = slotOf(*slot);
+    if (_tags[i] != kInvalidTag)
+        _lines.destroy(i);
+    _lines.construct(i).tag = line_base;
     touch(*slot);
-    _tags[static_cast<std::size_t>(slot - _lines.data())] = line_base;
+    _tags[i] = line_base;
 }
 
 void
 Cache::invalidate(Addr line_base)
 {
-    if (CacheLine *line = peek(line_base)) {
-        line->reset();
-        _tags[static_cast<std::size_t>(line - _lines.data())] =
-            kInvalidTag;
-    }
+    if (CacheLine *line = peek(line_base))
+        drop(*line);
+}
+
+void
+Cache::drop(CacheLine &line)
+{
+    const std::size_t i = slotOf(line);
+    assert(_tags[i] == line.tag && "drop of a line this cache does not hold");
+    _tags[i] = kInvalidTag;
+    _lines.destroy(i);
 }
 
 } // namespace uhtm

@@ -29,9 +29,8 @@ namespace uhtm
 /** Metadata of one cache line. Directory fields are used by the LLC. */
 struct CacheLine
 {
-    /** Line base address; only meaningful when valid. */
+    /** Line base address. */
     Addr tag = 0;
-    bool valid = false;
     bool dirty = false;
 
     /** L1 only: the copy has write permission (MESI E/M). */
@@ -107,17 +106,17 @@ struct CacheLine
         txWriter = kNoTx;
         txReaders.clear();
     }
-
-    /** Reset to the invalid state. */
-    void
-    reset()
-    {
-        *this = CacheLine{};
-    }
 };
 
 /**
  * A set-associative tag array with LRU replacement.
+ *
+ * The tag array is the only record of which slots hold a line. Line
+ * storage is raw and recycled (sim/reuse_alloc.hh): a slot is
+ * constructed by install() and destroyed by drop(), invalidate(),
+ * eviction (install() over a victim) and ~Cache, so building a cache
+ * writes only its tags. Code outside the cache that removes a line
+ * must call drop(), never clear the line in place.
  *
  * By default victim selection is transaction-agnostic LRU, as in real
  * cache hierarchies — which is precisely why co-running applications
@@ -146,6 +145,7 @@ class Cache
      */
     Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
           bool tx_aware_replacement = false);
+    ~Cache();
 
     /** Find the line holding @p line_base, or nullptr. Counts hit/miss. */
     CacheLine *lookup(Addr line_base);
@@ -158,7 +158,7 @@ class Cache
      * Allocate a way for @p line_base (which must not be present).
      * If a valid victim had to be displaced, it is copied to @p evicted
      * and true is returned via @p had_victim. The returned slot is
-     * reset, validated and tagged; the caller fills in the rest.
+     * freshly constructed and tagged; the caller fills in the rest.
      */
     CacheLine *allocate(Addr line_base, CacheLine &evicted,
                         bool &had_victim);
@@ -174,7 +174,10 @@ class Cache
      */
     CacheLine *victimFor(Addr line_base, bool &had_victim);
 
-    /** Copy-free allocation, step 2: reset, validate, tag and touch. */
+    /**
+     * Copy-free allocation, step 2: destroy the victim (if any), then
+     * construct, tag and touch a fresh line in @p slot.
+     */
     void install(CacheLine *slot, Addr line_base);
 
     /** Mark @p line most recently used. */
@@ -183,8 +186,13 @@ class Cache
     /** Invalidate @p line_base if present. */
     void invalidate(Addr line_base);
 
+    /** Remove the resident @p line (a reference this cache handed out). */
+    void drop(CacheLine &line);
+
     /**
-     * Invoke @p fn on every valid line (tests, scans).
+     * Invoke @p fn on every valid line (tests, scans). @p fn may mutate
+     * or drop() the visited line, but must not allocate or invalidate
+     * other lines.
      *
      * Ordering contract: lines are visited in physical layout order
      * (set-major, then way) — deterministic for a fixed operation
@@ -197,16 +205,16 @@ class Cache
     void
     forEachLine(Fn &&fn)
     {
-        for (auto &line : _lines)
-            if (line.valid)
-                fn(line);
+        for (std::size_t i = 0; i < _tags.size(); ++i)
+            if (_tags[i] != kInvalidTag)
+                fn(_lines[i]);
     }
 
     /**
      * Invoke @p fn on every valid line in ascending address (tag)
      * order. Canonical: the visit order is a pure function of the set
      * of resident lines, independent of sets/ways/LRU history. @p fn
-     * may mutate or reset the visited line, but must not allocate or
+     * may mutate or drop() the visited line, but must not allocate or
      * invalidate other lines.
      */
     template <typename Fn>
@@ -214,10 +222,9 @@ class Cache
     forEachLineSorted(Fn &&fn)
     {
         std::vector<CacheLine *> valid;
-        valid.reserve(_lines.size());
-        for (auto &line : _lines)
-            if (line.valid)
-                valid.push_back(&line);
+        for (std::size_t i = 0; i < _tags.size(); ++i)
+            if (_tags[i] != kInvalidTag)
+                valid.push_back(&_lines[i]);
         std::sort(valid.begin(), valid.end(),
                   [](const CacheLine *a, const CacheLine *b) {
                       return a->tag < b->tag;
@@ -237,21 +244,23 @@ class Cache
     static constexpr Addr kInvalidTag = ~Addr(0);
 
     std::uint64_t setIndex(Addr line_base) const;
-    CacheLine *setBase(std::uint64_t set);
+    std::size_t slotOf(const CacheLine &line) const
+    {
+        return static_cast<std::size_t>(&line - _lines.data());
+    }
 
     std::string _name;
     unsigned _ways;
     bool _txAware;
     std::uint64_t _numSets;
-    std::vector<CacheLine, ReuseAlloc<CacheLine>> _lines;
+    /** Line slots; slot i holds a live CacheLine iff _tags[i] is valid. */
+    ReuseArray<CacheLine> _lines;
     /**
-     * Tag-only shadow of _lines, scanned by peek() so a set probe
-     * touches a few contiguous words instead of whole CacheLines.
-     * May go stale (external code resets lines in place via
-     * forEachLine*), so a tag match is verified against the line; a
-     * stale entry always points at an invalid line, never a wrong hit.
+     * Tag of each slot, kInvalidTag when free: the validity record, and
+     * what peek() scans, so a set probe touches a few contiguous words
+     * instead of whole CacheLines.
      */
-    std::vector<Addr, ReuseAlloc<Addr>> _tags;
+    ReuseArray<Addr> _tags;
     std::uint64_t _lruClock = 0;
     Stats _stats;
 };

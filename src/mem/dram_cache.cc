@@ -11,25 +11,26 @@ namespace uhtm
 namespace
 {
 
+/** Number of sets for @p size_bytes and @p ways, rounded down to a
+ *  power of two. */
 std::uint64_t
-floorPow2(std::uint64_t v)
-{
-    std::uint64_t p = 1;
-    while ((p << 1) <= v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
-DramCache::DramCache(std::uint64_t size_bytes, unsigned ways) : _ways(ways)
+setsFor(std::uint64_t size_bytes, unsigned ways)
 {
     assert(ways >= 1);
     const std::uint64_t lines = size_bytes / kLineBytes;
     assert(lines >= ways);
-    _numSets = floorPow2(lines / ways);
-    _entries.resize(_numSets * _ways);
-    _tags.assign(_numSets * _ways, kInvalidTag);
+    std::uint64_t sets = 1;
+    while ((sets << 1) <= lines / ways)
+        sets <<= 1;
+    return sets;
+}
+
+} // namespace
+
+DramCache::DramCache(std::uint64_t size_bytes, unsigned ways)
+    : _ways(ways), _numSets(setsFor(size_bytes, ways)),
+      _entries(_numSets * _ways), _tags(_numSets * _ways, kInvalidTag)
+{
 }
 
 std::uint64_t
@@ -56,13 +57,9 @@ DramCache::peek(Addr line_base)
 {
     const std::uint64_t base = setIndex(line_base) * _ways;
     const Addr *tags = &_tags[base];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (tags[w] != line_base)
-            continue;
-        DramCacheEntry &e = _entries[base + w];
-        if (e.valid && e.tag == line_base)
-            return &e;
-    }
+    for (unsigned w = 0; w < _ways; ++w)
+        if (tags[w] == line_base)
+            return &_entries[base + w];
     return nullptr;
 }
 
@@ -95,9 +92,9 @@ DramCache::evict(DramCacheEntry &victim)
     }
     if (_evictHook)
         _evictHook(victim.tag, reason);
-    victim = DramCacheEntry{};
-    _tags[static_cast<std::size_t>(&victim - _entries.data())] =
-        kInvalidTag;
+    const auto i = static_cast<std::size_t>(&victim - _entries.data());
+    _tags[i] = kInvalidTag;
+    _entries.destroy(i);
 }
 
 DramCacheEntry *
@@ -126,13 +123,16 @@ DramCache::insert(Addr line_base, TxId tx)
         return e;
     }
 
-    DramCacheEntry *set = &_entries[setIndex(line_base) * _ways];
-    DramCacheEntry *victim = nullptr;
-    for (unsigned w = 0; w < _ways && !victim; ++w)
-        if (!set[w].valid)
-            victim = &set[w];
-    if (!victim) {
+    const std::uint64_t base = setIndex(line_base) * _ways;
+    const Addr *tags = &_tags[base];
+    DramCacheEntry *set = &_entries[base];
+    std::size_t slot = _ways;
+    for (unsigned w = 0; w < _ways && slot == _ways; ++w)
+        if (tags[w] == kInvalidTag)
+            slot = w;
+    if (slot == _ways) {
         // Prefer invalidated, then committed-clean, then LRU overall.
+        DramCacheEntry *victim = nullptr;
         for (unsigned w = 0; w < _ways && !victim; ++w)
             if (set[w].invalidated)
                 victim = &set[w];
@@ -150,17 +150,16 @@ DramCache::insert(Addr line_base, TxId tx)
                 if (set[w].lru < victim->lru)
                     victim = &set[w];
         }
+        slot = static_cast<std::size_t>(victim - set);
         evict(*victim);
     }
 
-    victim->valid = true;
-    victim->tag = line_base;
-    victim->tx = tx;
-    victim->dirty = false;
-    victim->invalidated = false;
-    victim->lru = ++_lruClock;
-    _tags[static_cast<std::size_t>(victim - _entries.data())] = line_base;
-    return victim;
+    DramCacheEntry &e = _entries.construct(base + slot);
+    e.tag = line_base;
+    e.tx = tx;
+    e.lru = ++_lruClock;
+    _tags[base + slot] = line_base;
+    return &e;
 }
 
 bool
@@ -191,8 +190,8 @@ void
 DramCache::flushAll()
 {
     UHTM_SELF_PROFILE_SCOPE(DramCache);
-    for (auto &e : _entries) {
-        if (e.valid && !e.invalidated && e.tx == kNoTx && e.dirty) {
+    forEach([&](DramCacheEntry &e) {
+        if (!e.invalidated && e.tx == kNoTx && e.dirty) {
             ++_stats.writeBacks;
             if (_probe) {
                 _probe->notifyPersist(PersistPoint::DramCacheWriteback,
@@ -202,7 +201,7 @@ DramCache::flushAll()
                 _writeBack(e.tag, e.data);
             e.dirty = false;
         }
-    }
+    });
 }
 
 } // namespace uhtm

@@ -22,7 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "check/persist_probe.hh"
 #include "sim/function_ref.hh"
@@ -36,7 +36,6 @@ namespace uhtm
 struct DramCacheEntry
 {
     Addr tag = 0;
-    bool valid = false;
     /** Holds committed data that must eventually reach in-place NVM. */
     bool dirty = false;
     /** Uncommitted owner transaction; kNoTx once committed. */
@@ -47,9 +46,15 @@ struct DramCacheEntry
     std::array<std::uint8_t, kLineBytes> data{};
     std::uint64_t lru = 0;
 };
+static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
 
 /**
  * Set-associative DRAM cache over NVM lines.
+ *
+ * As in Cache, the tag array is the only record of which slots hold an
+ * entry: entry storage is raw and recycled (sim/reuse_alloc.hh), an
+ * entry is constructed by insert() and destroyed when it is evicted,
+ * so building the cache writes only its tags.
  *
  * The owner wires up @c writeBack, called when a committed dirty entry
  * is evicted and its bytes must be written to in-place NVM (durable
@@ -128,9 +133,9 @@ class DramCache
     void
     forEach(Fn &&fn)
     {
-        for (auto &e : _entries)
-            if (e.valid)
-                fn(e);
+        for (std::size_t i = 0; i < _tags.size(); ++i)
+            if (_tags[i] != kInvalidTag)
+                fn(_entries[i]);
     }
 
     const Stats &stats() const { return _stats; }
@@ -145,12 +150,14 @@ class DramCache
 
     unsigned _ways;
     std::uint64_t _numSets;
-    std::vector<DramCacheEntry, ReuseAlloc<DramCacheEntry>> _entries;
-    /** Tag-only shadow of _entries: a set probe reads a few contiguous
-     *  words instead of 96-byte entries (matters at 64 MiB capacity
-     *  where probed sets are cold in the host cache). Tag matches are
-     *  verified against the entry. */
-    std::vector<Addr, ReuseAlloc<Addr>> _tags;
+    /** Entry slots; slot i holds a live entry iff _tags[i] is valid.
+     *  Entries are trivially destructible, so ~DramCache destroys none. */
+    ReuseArray<DramCacheEntry> _entries;
+    /** Tag of each slot, kInvalidTag when free: the validity record,
+     *  and what a set probe scans, a few contiguous words instead of
+     *  104-byte entries (matters at 64 MiB capacity where probed sets
+     *  are cold in the host cache). */
+    ReuseArray<Addr> _tags;
     std::uint64_t _lruClock = 0;
     WriteBackFn _writeBack;
     EvictHookFn _evictHook;

@@ -1,16 +1,23 @@
 /**
  * @file
- * Per-thread recycling allocator for a job's large machine arrays.
+ * Per-thread recycled storage for a job's large machine arrays.
  *
  * Every simulation job builds a fresh machine: the default geometry's
- * LLC and DRAM-cache arrays plus their shadow tags are ~126 MiB. glibc
+ * LLC and DRAM-cache arrays plus their tag arrays are ~134 MiB. glibc
  * serves blocks that large with mmap and returns them with munmap, so
  * each job used to fault in and zero ~27 K fresh pages before it
- * simulated anything. ReuseAlloc parks a freed block of at least
+ * simulated anything. reuseDeallocate parks a freed block of at least
  * kReuseMinBytes on a thread-local list instead, keyed by exact byte
- * size, and the next allocation of that size on the same thread takes
- * it back: the pages are already mapped, so building the next job's
- * machine costs one pass of value-construction and no page faults.
+ * size, and the next reuseAllocate of that size on the same thread
+ * takes it back with its pages already mapped.
+ *
+ * ReuseArray<T> is the one owner of such blocks: a fixed-size array of
+ * raw, uninitialized T. It never constructs or destroys an element on
+ * its own; its owner (Cache, DramCache) constructs a slot when a line
+ * is installed and destroys it when the line leaves, and keeps its own
+ * record of which slots are alive (the caches' tag arrays). So building
+ * a machine writes only its tag arrays, not the 124 MiB of line and
+ * entry storage behind them.
  *
  * Rules:
  *  - A thread parks at most one block per size and at most kReuseSlots
@@ -19,13 +26,18 @@
  *    block freed while every slot is taken go straight to
  *    ::operator delete.
  *  - The list is released when its thread exits.
- *  - The allocator object is stateless, so a block freed on another
+ *  - Parking is keyed by the freeing thread, so a block freed on another
  *    thread than the one that allocated it is still correct; it just
  *    parks on the freeing thread. Jobs run wholly on one pool thread
  *    (the rule `sim/arena.hh` relies on), so in practice it never is.
  *
  * Under ASan a parked block is poisoned and unpoisoned when it is
  * taken back, so a use-after-free of a previous job's machine traps.
+ * The slots of a ReuseArray built without a fill value stay poisoned
+ * until construct() and are poisoned again by destroy(), so reading a
+ * slot its owner's record says is free traps too. (Recycled slots hold
+ * the previous job's bytes; pages stay mapped, unlike a demand-zero
+ * mapping, see DESIGN.md §11.)
  */
 
 #ifndef UHTM_SIM_REUSE_ALLOC_HH
@@ -34,7 +46,9 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
 
 #include "sim/arena.hh"
 
@@ -158,22 +172,65 @@ reuseParkedBytes()
     return detail::g_reuseParkedBytes;
 }
 
-/** Stateless std allocator over reuseAllocate/reuseDeallocate. */
+/**
+ * Fixed-size array of @p n raw T slots in recycled storage.
+ *
+ * Built without a fill value, no slot holds a live T: the owner calls
+ * construct() and destroy() and must destroy every live slot before
+ * the array goes away. Built with a fill value, every slot is a copy of
+ * it; that form is for trivially destructible T only.
+ */
 template <typename T>
-struct ReuseAlloc
+class ReuseArray
 {
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
-    using value_type = T;
-
-    ReuseAlloc() = default;
-
-    template <typename U>
-    ReuseAlloc(const ReuseAlloc<U> &) noexcept
+  public:
+    /** @p n unconstructed slots (poisoned under ASan). */
+    explicit ReuseArray(std::size_t n) : _data(allocate(n)), _size(n)
     {
+        UHTM_ASAN_POISON(_data, bytes());
     }
 
-    T *
+    /** @p n copies of @p fill. */
+    ReuseArray(std::size_t n, const T &fill) : _data(allocate(n)), _size(n)
+    {
+        static_assert(std::is_trivially_destructible_v<T>);
+        std::uninitialized_fill_n(_data, n, fill);
+    }
+
+    ReuseArray(const ReuseArray &) = delete;
+    ReuseArray &operator=(const ReuseArray &) = delete;
+
+    ~ReuseArray()
+    {
+        UHTM_ASAN_UNPOISON(_data, bytes());
+        reuseDeallocate(_data, bytes());
+    }
+
+    /** Value-initialize slot @p i; it must not hold a live T. */
+    T &
+    construct(std::size_t i)
+    {
+        UHTM_ASAN_UNPOISON(_data + i, sizeof(T));
+        return *::new (static_cast<void *>(_data + i)) T();
+    }
+
+    /** Destroy the live T in slot @p i. */
+    void
+    destroy(std::size_t i)
+    {
+        std::destroy_at(_data + i);
+        UHTM_ASAN_POISON(_data + i, sizeof(T));
+    }
+
+    /** Slot access; like std::span, constness is not deep. */
+    T &operator[](std::size_t i) const { return _data[i]; }
+    T *data() const { return _data; }
+    std::size_t size() const { return _size; }
+
+  private:
+    static T *
     allocate(std::size_t n)
     {
         if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
@@ -181,17 +238,10 @@ struct ReuseAlloc
         return static_cast<T *>(reuseAllocate(n * sizeof(T)));
     }
 
-    void
-    deallocate(T *p, std::size_t n) noexcept
-    {
-        reuseDeallocate(p, n * sizeof(T));
-    }
+    std::size_t bytes() const { return _size * sizeof(T); }
 
-    friend bool
-    operator==(const ReuseAlloc &, const ReuseAlloc &) noexcept
-    {
-        return true;
-    }
+    T *_data;
+    std::size_t _size;
 };
 
 } // namespace uhtm

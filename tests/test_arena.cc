@@ -2,7 +2,8 @@
  * @file
  * Arena allocator unit tests: size classes, recycling, reset semantics,
  * the self-describing arenaNew/arenaDelete header and ArenaScope; and
- * the per-thread ReuseAlloc that recycles large machine arrays.
+ * the per-thread recycling of large machine arrays (reuseAllocate and
+ * ReuseArray).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "mem/cache.hh"
+#include "mem/dram_cache.hh"
+#include "mem/layout.hh"
 #include "sim/arena.hh"
 #include "sim/reuse_alloc.hh"
 
@@ -257,17 +261,17 @@ TEST(ReuseAlloc, SmallBlocksAreNeverParked)
     });
 }
 
-TEST(ReuseAlloc, TwoLiveSameSizeVectorsStayValid)
+TEST(ReuseAlloc, TwoLiveSameSizeArraysStayValid)
 {
     onFreshThread([] {
-        using Vec = std::vector<std::uint64_t, ReuseAlloc<std::uint64_t>>;
+        using Array = ReuseArray<std::uint64_t>;
         const std::size_t n = kReuseMinBytes / sizeof(std::uint64_t);
         {
             // Park one block of the size first, so the pair below is one
             // recycled and one fresh block.
-            Vec warm(n, 0);
+            Array warm(n, 0);
         }
-        Vec a(n, 0xaaaa), b(n, 0xbbbb);
+        Array a(n, 0xaaaa), b(n, 0xbbbb);
         ASSERT_NE(a.data(), b.data());
         for (std::size_t i = 0; i < n; i += 4096) {
             a[i] = i;
@@ -286,7 +290,7 @@ TEST(ReuseAlloc, BlocksParkedInAThreadAreReleasedAtExit)
     std::size_t inside = 0;
     std::thread t([&] {
         {
-            std::vector<char, ReuseAlloc<char>> v(n, 'x');
+            ReuseArray<char> v(n, 'x');
         }
         inside = reuseParkedBytes();
     });
@@ -310,6 +314,43 @@ TEST(ReuseAlloc, ParkedBlocksArePoisonedUnderAsan)
         EXPECT_FALSE(__asan_address_is_poisoned(q));
         EXPECT_FALSE(__asan_address_is_poisoned(q + n - 1));
         reuseDeallocate(q, n);
+    });
+}
+
+TEST(ReuseArray, FreeSlotsArePoisonedUnderAsan)
+{
+    onFreshThread([] {
+        auto poisoned = [](const void *p, std::size_t n) {
+            const auto *b = static_cast<const std::byte *>(p);
+            return __asan_address_is_poisoned(b) &&
+                   __asan_address_is_poisoned(b + n - 1);
+        };
+        auto clear = [](const void *p, std::size_t n) {
+            return __asan_region_is_poisoned(const_cast<void *>(p), n) ==
+                   nullptr;
+        };
+
+        // A cache: a fresh slot is poisoned, an installed line is not,
+        // and an invalidated line is poisoned again.
+        Cache llc("LLC", kReuseMinBytes, 16);
+        const Addr line = MemLayout::kNvmBase;
+        bool had = true;
+        CacheLine *slot = llc.victimFor(line, had);
+        ASSERT_FALSE(had);
+        EXPECT_TRUE(poisoned(slot, sizeof(CacheLine)));
+        llc.install(slot, line);
+        EXPECT_TRUE(clear(slot, sizeof(CacheLine)));
+        EXPECT_TRUE(poisoned(slot + 1, sizeof(CacheLine)))
+            << "the next way of the set is still free";
+        llc.invalidate(line);
+        EXPECT_TRUE(poisoned(slot, sizeof(CacheLine)));
+
+        // The DRAM cache: an inserted entry is not poisoned, the free
+        // way next to it is.
+        DramCache dc(kReuseMinBytes, 16);
+        DramCacheEntry *e = dc.insert(line, 1);
+        EXPECT_TRUE(clear(e, sizeof(DramCacheEntry)));
+        EXPECT_TRUE(poisoned(e + 1, sizeof(DramCacheEntry)));
     });
 }
 #endif

@@ -24,6 +24,12 @@ Usage (from the repository root, after extracting the parent commit with
 commits, the host, each side's median and quartiles, and every sample.
 Measure the change as it will be committed; when the commit does not
 exist yet, the entry names it as the commit that adds the entry.
+
+    python3 tools/perf_pairs.py --table bench/perf/trajectory.json
+
+prints the README "Performance" table of a trajectory file instead: one
+row per entry and workload, each metric as parent median -> change
+median, and the change's pair wins on wall_s.
 """
 
 import argparse
@@ -90,21 +96,64 @@ def summary(parent, change):
     return out
 
 
+TABLE_COLUMNS = (("wall_s", "wall s"), ("host_ns_per_access", "ns/access"),
+                 ("host_us_per_commit", "us/commit"),
+                 ("peak_rss_mb", "peak RSS MB"))
+
+
+def num(v):
+    """Three significant digits, never in exponent form."""
+    return "%.0f" % v if v >= 100 else "%#.3g" % v
+
+
+def table(path):
+    """The README Performance table of the trajectory file at path."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    rows = ["| Change (parent) | Seed | Workload | "
+            + " | ".join(h for _, h in TABLE_COLUMNS) + " |",
+            "|---|---|---|" + "---|" * len(TABLE_COLUMNS)]
+    for e in doc["entries"]:
+        for w, res in e["workloads"].items():
+            cells = []
+            for m, _ in TABLE_COLUMNS:
+                v = res["summary"][m]
+                cell = "%s → %s" % (num(v["parent"]["median"]),
+                                    num(v["change"]["median"]))
+                if m == "wall_s":
+                    cell += " (%d/%d)" % (v["change_wins"], e["pairs"])
+                cells.append(cell)
+            rows.append("| %s (%s) | %d | `%s` | %s |" % (
+                e["note"], e["parent"][:7], e["seed"], w, " | ".join(cells)))
+    return "\n".join(rows) + "\n"
+
+
 def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--parent-src", required=True)
-    ap.add_argument("--change-src", required=True)
-    ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--table", metavar="TRAJECTORY",
+                    help="print the README table of a trajectory file")
+    ap.add_argument("--parent-src")
+    ap.add_argument("--change-src")
+    ap.add_argument("--parent-commit")
     ap.add_argument("--change-commit",
                     default="the commit that adds this entry")
-    ap.add_argument("--build-root", required=True)
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--build-root")
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--note", default="")
     ap.add_argument("--append", help="trajectory JSON file to append to")
     args = ap.parse_args(argv)
+    if args.table:
+        sys.stdout.write(table(args.table))
+        return 0
+    missing = [o for o in ("parent_src", "change_src", "parent_commit",
+                           "build_root", "workload", "seed")
+               if getattr(args, o) is None]
+    if missing:
+        ap.error("the following arguments are required: " + ", ".join(
+            "--" + o.replace("_", "-") for o in missing))
     with open(os.path.join(args.change_src, "BENCHMARK.json"),
               encoding="utf-8") as f:
         seconds = json.load(f)["run_seconds"]
