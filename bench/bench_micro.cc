@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "htm/signature.hh"
 #include "htm/tss.hh"
 #include "mem/backing_store.hh"
@@ -137,7 +135,7 @@ BENCHMARK(BM_RedoLogAppendReplay);
 
 // ---- hot-path structures (see DESIGN.md "Hot-path architecture") ----
 
-/** LineMap vs unordered_map: the TxDesc write-buffer access pattern. */
+/** LineMap emplace/find: the TxDesc write-buffer access pattern. */
 static void
 BM_LineMapEmplaceFind(benchmark::State &state)
 {
@@ -157,26 +155,6 @@ BM_LineMapEmplaceFind(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LineMapEmplaceFind)->Arg(64)->Arg(1024)->Arg(16384);
-
-static void
-BM_UnorderedMapEmplaceFind(benchmark::State &state)
-{
-    const std::uint64_t lines = static_cast<std::uint64_t>(state.range(0));
-    for (auto _ : state) {
-        std::unordered_map<Addr, std::uint64_t> m;
-        Rng rng(11);
-        for (std::uint64_t i = 0; i < lines; ++i) {
-            const Addr line = (rng.next() % lines) << kLineShift;
-            auto it = m.find(line);
-            if (it == m.end())
-                m.emplace(line, i);
-            else
-                benchmark::DoNotOptimize(it->second);
-        }
-        benchmark::DoNotOptimize(m.size());
-    }
-}
-BENCHMARK(BM_UnorderedMapEmplaceFind)->Arg(64)->Arg(1024)->Arg(16384);
 
 /** LineSet membership churn: the read/write-set pattern. */
 static void

@@ -236,6 +236,38 @@ ResultSink::metricsJson(const std::vector<JobResult> &results) const
     return w.str() + "\n";
 }
 
+std::string
+ResultSink::timingJson(const std::vector<JobResult> &results,
+                       double wallSeconds, unsigned threads) const
+{
+    std::uint64_t events = 0;
+    for (const JobResult &r : results)
+        events += r.metrics.hostEventsExecuted;
+    JsonWriter w;
+    w.beginObject();
+    w.field("figure", _name);
+    w.field("wall_seconds", wallSeconds);
+    w.field("jobs", static_cast<std::uint64_t>(results.size()));
+    w.field("threads", static_cast<std::uint64_t>(threads));
+    w.field("events_executed", events);
+    w.field("events_per_second",
+            wallSeconds > 0.0 ? static_cast<double>(events) / wallSeconds
+                              : 0.0);
+    w.key("per_job");
+    w.beginArray();
+    for (const JobResult &r : results) {
+        w.beginObject();
+        w.field("key", r.key);
+        w.field("host_seconds", r.hostSeconds);
+        w.field("events_executed", r.metrics.hostEventsExecuted);
+        w.field("commits", r.metrics.committedTxs);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    return w.str() + "\n";
+}
+
 namespace
 {
 
@@ -285,6 +317,16 @@ ResultSink::writeMetricsTo(const std::string &dir,
                            std::string *err) const
 {
     return writeFileTo(dir, metricsFileName(), metricsJson(results), err);
+}
+
+std::string
+ResultSink::writeTimingTo(const std::string &dir,
+                          const std::vector<JobResult> &results,
+                          double wallSeconds, unsigned threads,
+                          std::string *err) const
+{
+    return writeFileTo(dir, timingFileName(),
+                       timingJson(results, wallSeconds, threads), err);
 }
 
 } // namespace uhtm::exec

@@ -31,9 +31,9 @@
  *
  * Everything in the file is a deterministic function of (code, sweep
  * seed, configs): host wall-clock never appears here (it goes to
- * stdout), so the bytes are identical for --jobs=1 and --jobs=N and
- * two runs of the same binary — which is what lets CI diff the files
- * and track performance trajectories.
+ * stdout and the TIMING_* sidecar), so the bytes are identical for
+ * --jobs=1 and --jobs=N and two runs of the same binary — which is
+ * what lets CI diff the files and track performance trajectories.
  */
 
 #ifndef UHTM_EXEC_RESULT_SINK_HH
@@ -94,6 +94,29 @@ class ResultSink
     std::string writeMetricsTo(const std::string &dir,
                                const std::vector<JobResult> &results,
                                std::string *err) const;
+
+    /**
+     * Serialize the host-timing sidecar: sweep wall clock, job and
+     * thread counts, simulated events executed and events/sec, then a
+     * "per_job" array in submission order (key, host_seconds,
+     * events_executed, commits). The times are host-dependent, so the
+     * file is never golden-compared; its key set and row order are
+     * the same for every --jobs value.
+     */
+    std::string timingJson(const std::vector<JobResult> &results,
+                           double wallSeconds, unsigned threads) const;
+
+    /** Sidecar file name: "TIMING_<name>.json". */
+    std::string timingFileName() const
+    {
+        return "TIMING_" + _name + ".json";
+    }
+
+    /** Write the timing sidecar into @p dir (like writeTo). */
+    std::string writeTimingTo(const std::string &dir,
+                              const std::vector<JobResult> &results,
+                              double wallSeconds, unsigned threads,
+                              std::string *err) const;
 
   private:
     std::string _name;

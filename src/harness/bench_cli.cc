@@ -9,7 +9,6 @@
 
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
-#include "obs/self_profile.hh"
 #include "obs/tracer.hh"
 #include "sim/num_parse.hh"
 #include "traffic/arrivals.hh"
@@ -85,115 +84,6 @@ sweepConfig(const BenchCliOpts &opts)
     return cfg;
 }
 
-/**
- * Write the TIMING_<figure>.json host-timing sidecar. Everything in it
- * is host-dependent (wall clock, throughput), so it is deliberately
- * named outside the BENCH_* and METRICS_* golden globs and must never
- * be byte-compared.
- */
-bool
-writeTimingSidecar(const std::string &dir, const std::string &figure,
-                   double wall_seconds, std::size_t job_count,
-                   unsigned threads, std::uint64_t events,
-                   std::string &err)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        err = "cannot create " + dir + ": " + ec.message();
-        return false;
-    }
-    const std::string path =
-        (fs::path(dir) / ("TIMING_" + figure + ".json")).string();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
-    const double eps =
-        wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
-                           : 0.0;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"jobs\": %zu,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"events_executed\": %llu,\n"
-                 "  \"events_per_second\": %.0f\n"
-                 "}\n",
-                 figure.c_str(), wall_seconds, job_count, threads,
-                 static_cast<unsigned long long>(events), eps);
-    if (std::fclose(f) != 0) {
-        err = "write failed: " + path;
-        return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/**
- * Write the PROFILE_<figure>.json self-profiler sidecar. The ns/count
- * values are host wall-clock samples (host-dependent, like TIMING_*,
- * never golden-compared); the schema is deterministic: every ProfScope
- * is always emitted, at zero if never entered, in enum order, so the
- * key set is byte-identical across --jobs=1 and --jobs=8.
- */
-bool
-writeProfileSidecar(const std::string &dir, const std::string &figure,
-                    double wall_seconds, unsigned threads,
-                    std::string &err)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        err = "cannot create " + dir + ": " + ec.message();
-        return false;
-    }
-    const std::string path =
-        (fs::path(dir) / ("PROFILE_" + figure + ".json")).string();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
-    std::uint64_t attributed = 0;
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i)
-        attributed +=
-            obs::SelfProfiler::scopeNs(static_cast<obs::ProfScope>(i));
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"uhtm-profile-v1\",\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"attributed_ns\": %llu,\n"
-                 "  \"scopes\": {\n",
-                 figure.c_str(), wall_seconds, threads,
-                 static_cast<unsigned long long>(attributed));
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i) {
-        const auto s = static_cast<obs::ProfScope>(i);
-        std::fprintf(f,
-                     "    \"%s\": {\"self_ns\": %llu, "
-                     "\"samples\": %llu}%s\n",
-                     obs::profScopeName(s),
-                     static_cast<unsigned long long>(
-                         obs::SelfProfiler::scopeNs(s)),
-                     static_cast<unsigned long long>(
-                         obs::SelfProfiler::scopeCount(s)),
-                     i + 1 < obs::kProfScopeCount ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    if (std::fclose(f) != 0) {
-        err = "write failed: " + path;
-        return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
 } // namespace
 
 const char *
@@ -227,9 +117,7 @@ benchFlagsHelp()
            "  --trace=DIR   record binary event traces into DIR "
            "(uhtm_trace reads them)\n"
            "  --wall        write TIMING_<figure>.json host-timing "
-           "sidecar (needs --out)\n"
-           "  --self-profile write PROFILE_<figure>.json subsystem "
-           "wall-clock profile (needs --out)\n";
+           "sidecar (needs --out)\n";
 }
 
 bool
@@ -308,8 +196,6 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
             opts.metrics = true;
         } else if (arg == "--wall") {
             opts.wall = true;
-        } else if (arg == "--self-profile") {
-            opts.selfProfile = true;
         } else if (arg.rfind("--trace=", 0) == 0) {
             opts.traceDir = arg.substr(8);
         } else {
@@ -319,10 +205,9 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
         }
     }
     // A sidecar without a directory to land in would be silently lost.
-    const char *sidecar = opts.metrics       ? "--metrics"
-                          : opts.wall        ? "--wall"
-                          : opts.selfProfile ? "--self-profile"
-                                             : nullptr;
+    const char *sidecar = opts.metrics ? "--metrics"
+                          : opts.wall  ? "--wall"
+                                       : nullptr;
     if (sidecar && opts.outDir.empty()) {
         err = std::string(sidecar) + ": needs --out=DIR";
         return false;
@@ -371,11 +256,6 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         obs::setTraceDir(opts.traceDir);
     }
 
-    if (opts.selfProfile) {
-        obs::SelfProfiler::reset();
-        obs::SelfProfiler::setEnabled(true);
-    }
-
     exec::SweepScheduler scheduler({opts.jobs, opts.fig.seed});
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<exec::JobResult> results = scheduler.run(jobs);
@@ -383,8 +263,6 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    if (opts.selfProfile)
-        obs::SelfProfiler::setEnabled(false);
 
     figure.render(opts.fig, results, stdout);
 
@@ -420,32 +298,17 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
             }
             std::printf("wrote %s\n", mpath.c_str());
         }
-    }
 
-    // Simulated events executed across the sweep (host-side metric;
-    // ResultSink never serializes it into the deterministic JSON).
-    std::uint64_t events = 0;
-    for (const exec::JobResult &r : results)
-        events += r.metrics.hostEventsExecuted;
-
-    if (opts.wall) {
-        std::string terr;
-        if (!writeTimingSidecar(opts.outDir, figure.name, wallSeconds,
-                                results.size(), scheduler.threads(),
-                                events, terr)) {
-            std::fprintf(stderr, "timing emission failed: %s\n",
-                         terr.c_str());
-            return 1;
-        }
-    }
-
-    if (opts.selfProfile) {
-        std::string perr;
-        if (!writeProfileSidecar(opts.outDir, figure.name, wallSeconds,
-                                 scheduler.threads(), perr)) {
-            std::fprintf(stderr, "profile emission failed: %s\n",
-                         perr.c_str());
-            return 1;
+        if (opts.wall) {
+            const std::string tpath = sink.writeTimingTo(
+                opts.outDir, results, wallSeconds, scheduler.threads(),
+                &err);
+            if (tpath.empty()) {
+                std::fprintf(stderr, "timing emission failed: %s\n",
+                             err.c_str());
+                return 1;
+            }
+            std::printf("wrote %s\n", tpath.c_str());
         }
     }
 
@@ -454,6 +317,10 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
                 figure.name.c_str(), results.size(),
                 scheduler.threads(), wallSeconds);
     if (opts.wall && wallSeconds > 0.0) {
+        // Simulated events executed across the sweep (host-side).
+        std::uint64_t events = 0;
+        for (const exec::JobResult &r : results)
+            events += r.metrics.hostEventsExecuted;
         std::printf(" (%.1fM events/s)",
                     static_cast<double>(events) / wallSeconds / 1e6);
     }

@@ -26,12 +26,8 @@
  *   --trace=DIR   record binary lifecycle-event traces into DIR
  *                 (one .uhtmtrace file per run; read with uhtm_trace)
  *   --wall        write a TIMING_<figure>.json sidecar (host wall
- *                 clock and events/sec; never golden-compared)
- *   --self-profile enable the sampling self-profiler and write a
- *                 PROFILE_<figure>.json sidecar attributing host
- *                 wall-clock to simulator subsystems (schema is
- *                 deterministic; the times are host-dependent and
- *                 never golden-compared)
+ *                 clock, events/sec and per-job host seconds, written
+ *                 by exec::ResultSink; never golden-compared)
  */
 
 #ifndef UHTM_HARNESS_BENCH_CLI_HH
@@ -60,11 +56,6 @@ struct BenchCliOpts
      *  --out). Host-dependent by nature: excluded from the golden
      *  byte comparisons, which only cover BENCH_* and METRICS_*. */
     bool wall = false;
-    /** Enable the subsystem self-profiler and write the
-     *  PROFILE_<figure>.json sidecar (needs --out). The times are
-     *  host-dependent like TIMING_*, but the schema — scope key set
-     *  and order — is fixed and identical across --jobs values. */
-    bool selfProfile = false;
     /** Binary lifecycle-event trace directory; empty = no tracing. */
     std::string traceDir;
     /** Treat an empty post-filter job list as "skip this figure"
@@ -81,7 +72,7 @@ struct BenchCliOpts
 /**
  * Parse flags from argv[firstArg..). Returns false and sets @p err on
  * an unknown or malformed argument, or on a sidecar flag (--metrics,
- * --wall, --self-profile) without --out.
+ * --wall) without --out.
  */
 bool parseBenchArgs(int argc, char **argv, int firstArg,
                     BenchCliOpts &opts, std::string &err);

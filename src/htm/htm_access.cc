@@ -9,7 +9,6 @@
 
 #include "htm/conflict_policy.hh"
 #include "htm/htm_system.hh"
-#include "obs/self_profile.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
@@ -74,7 +73,6 @@ HtmSystem::Resolution
 HtmSystem::offChipConflictCheck(Addr line, TxDesc *req,
                                 DomainId req_domain, bool is_write)
 {
-    UHTM_SELF_PROFILE_SCOPE(Signatures);
     const bool precise = _policy.offChip == OffChipDetection::Precise;
     const auto &cands = _policy.signatureIsolation
                             ? _tss.activeInDomain(req_domain)
@@ -311,7 +309,6 @@ AccessResult
 HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                        bool is_write, bool whole_line, std::uint64_t wdata)
 {
-    UHTM_SELF_PROFILE_SCOPE(Llc);
     assert(core < _mcfg.cores);
     assert(MemLayout::isSoftwareVisible(addr) &&
            "software access outside DRAM/NVM regions");

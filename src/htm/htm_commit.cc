@@ -20,7 +20,6 @@
 
 #include "check/fault_injector.hh"
 #include "htm/htm_system.hh"
-#include "obs/self_profile.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
@@ -29,7 +28,6 @@ namespace uhtm
 Tick
 HtmSystem::issueCommit(CoreId core)
 {
-    UHTM_SELF_PROFILE_SCOPE(Commit);
     TxDesc *tx = _coreTx[core];
     assert(tx && "commit without a running transaction");
     assert(!tx->abortRequested && "doomed transaction must abort");
@@ -200,7 +198,6 @@ HtmSystem::issueCommit(CoreId core)
 Tick
 HtmSystem::issueAbort(CoreId core)
 {
-    UHTM_SELF_PROFILE_SCOPE(Abort);
     TxDesc *tx = _coreTx[core];
     assert(tx && "abort without a running transaction");
     assert(tx->abortRequested && "abort protocol needs a doomed tx");

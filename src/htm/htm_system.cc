@@ -13,7 +13,6 @@
 
 #include "check/fault_injector.hh"
 #include "htm/conflict_policy.hh"
-#include "obs/self_profile.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
@@ -106,7 +105,6 @@ HtmSystem::flushDurableWrites(Tick upTo)
     // skip the partition instead of walking the whole batch.
     if (_durablePending.empty() || upTo < _durableMinDue)
         return;
-    UHTM_SELF_PROFILE_SCOPE(LogDrain);
     // The batch is in seq (append) order; keep that order among the
     // not-yet-due survivors and apply the due entries sorted stably by
     // due — i.e. in (due, seq) order, so the write that completes last

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/event.hh"
-#include "obs/self_profile.hh"
 
 namespace uhtm
 {
@@ -100,7 +99,6 @@ DramCache::evict(DramCacheEntry &victim)
 DramCacheEntry *
 DramCache::insert(Addr line_base, TxId tx)
 {
-    UHTM_SELF_PROFILE_SCOPE(DramCache);
     if (DramCacheEntry *e = peek(line_base)) {
         // Refresh in place; a new transactional write supersedes an
         // invalidated or committed entry for the same line.
@@ -189,7 +187,6 @@ DramCache::invalidateEntry(Addr line_base, TxId tx)
 void
 DramCache::flushAll()
 {
-    UHTM_SELF_PROFILE_SCOPE(DramCache);
     forEach([&](DramCacheEntry &e) {
         if (!e.invalidated && e.tx == kNoTx && e.dirty) {
             ++_stats.writeBacks;

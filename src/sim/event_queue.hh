@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/self_profile.hh"
 #include "sim/inline_callback.hh"
 #include "sim/types.hh"
 
@@ -344,9 +343,6 @@ class EventQueue
     void
     execute(const Next &n)
     {
-        // Self-profiler scope: queue machinery plus any callback work
-        // not claimed by a nested subsystem scope.
-        UHTM_SELF_PROFILE_SCOPE(EventQueue);
         Callback cb;
         if (n.fromFar) {
             std::pop_heap(_far.begin(), _far.end(), FarAfter{});

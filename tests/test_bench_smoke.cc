@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
+#include "harness/bench_cli.hh"
 #include "harness/figures.hh"
 
 namespace uhtm
@@ -89,6 +93,84 @@ TEST(BenchSmoke, RenderToleratesFilteredResults)
         fig.render(opts, results, sinkFile); // must not crash
         std::fclose(sinkFile);
     }
+}
+
+/** Unsigned value of every `"<name>": N` field at @p indent spaces. */
+std::vector<std::uint64_t>
+u64Fields(const std::string &json, const std::string &name, int indent)
+{
+    const std::string tag =
+        "\n" + std::string(indent, ' ') + "\"" + name + "\": ";
+    std::vector<std::uint64_t> out;
+    for (std::size_t p = json.find(tag); p != std::string::npos;
+         p = json.find(tag, p + 1))
+        out.push_back(std::stoull(json.substr(p + tag.size())));
+    return out;
+}
+
+/** The "per_job" rows' keys, in file order. */
+std::vector<std::string>
+rowKeys(const std::string &json)
+{
+    const std::string tag = "\n      \"key\": \"";
+    std::vector<std::string> keys;
+    for (std::size_t p = json.find(tag); p != std::string::npos;
+         p = json.find(tag, p + 1)) {
+        const std::size_t b = p + tag.size();
+        keys.push_back(json.substr(b, json.find('"', b) - b));
+    }
+    return keys;
+}
+
+/** Run tiny fig6 through the CLI path with --wall; TIMING_* text. */
+std::string
+runTimed(const std::string &dir, unsigned threads)
+{
+    const figures::Figure *fig = figures::find("fig6");
+    EXPECT_NE(fig, nullptr);
+    BenchCliOpts opts;
+    opts.fig = tinyOpts();
+    opts.jobs = threads;
+    opts.outDir = dir;
+    opts.wall = true;
+    EXPECT_EQ(runFigure(*fig, opts), 0);
+    std::ifstream in(std::filesystem::path(dir) / "TIMING_fig6.json");
+    EXPECT_TRUE(in.good()) << dir;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** TIMING_<figure>.json: one row per job, in submission order, for
+ *  every --jobs value; the top-level counts agree with the rows. */
+TEST(BenchSmoke, TimingSidecarRowsMatchJobsAtAnyThreadCount)
+{
+    const std::string base = ::testing::TempDir();
+    std::vector<std::string> keys[2];
+    const unsigned threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+        const std::string json = runTimed(
+            base + "/uhtm_timing_j" + std::to_string(threads[i]),
+            threads[i]);
+        EXPECT_NE(json.find("\n  \"wall_seconds\": "), std::string::npos);
+        keys[i] = rowKeys(json);
+        EXPECT_GT(keys[i].size(), 1u) << "need a multi-job figure";
+
+        const auto jobs = u64Fields(json, "jobs", 2);
+        ASSERT_EQ(jobs.size(), 1u);
+        EXPECT_EQ(jobs[0], keys[i].size());
+
+        const auto total = u64Fields(json, "events_executed", 2);
+        const auto rows = u64Fields(json, "events_executed", 6);
+        ASSERT_EQ(total.size(), 1u);
+        EXPECT_EQ(rows.size(), keys[i].size());
+        std::uint64_t sum = 0;
+        for (std::uint64_t e : rows)
+            sum += e;
+        EXPECT_EQ(total[0], sum);
+        EXPECT_GT(sum, 0u);
+    }
+    EXPECT_EQ(keys[0], keys[1]);
 }
 
 } // namespace

@@ -103,7 +103,7 @@ TEST(NumParse, BenchFlagsRejectMalformedNumbers)
         "--zipf-theta=nan", "--zipf-theta=-1", "--rw-mix=0.5.1",
         "--rw-mix=2",
         // Sidecars with nowhere to go would be computed and dropped.
-        "--metrics", "--wall", "--self-profile",
+        "--metrics", "--wall",
     };
     for (const char *flag : bad) {
         BenchCliOpts opts;
@@ -126,8 +126,11 @@ TEST(NumParse, BenchFlagsRejectMalformedNumbers)
               std::string::npos);
     // Once --out is set, the sidecar flags are accepted.
     EXPECT_EQ(benchArgError("--out=o", opts), "");
-    for (const char *flag : {"--metrics", "--wall", "--self-profile"})
+    for (const char *flag : {"--metrics", "--wall"})
         EXPECT_EQ(benchArgError(flag, opts), "") << flag;
+    // A removed flag is an error, not silently ignored.
+    EXPECT_NE(benchArgError("--self-profile", opts).find("unknown argument"),
+              std::string::npos);
 }
 
 } // namespace
