@@ -1,8 +1,9 @@
 /**
  * @file
  * Component micro-benchmarks (google-benchmark): the hot structures of
- * the simulator itself — bloom signatures, event queue, cache tag
- * array, backing store and the log areas.
+ * the simulator itself — bloom signatures, cache allocation, backing
+ * store, line maps and the log areas. Event dispatch and the L1 hit
+ * path are timed end to end by perfbench/probes.cc instead.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +14,6 @@
 #include "mem/cache.hh"
 #include "mem/redo_log.hh"
 #include "mem/undo_log.hh"
-#include "sim/event_queue.hh"
 #include "sim/line_map.hh"
 #include "sim/random.hh"
 #include "sim/small_vec.hh"
@@ -43,36 +43,6 @@ BM_SignatureCheck(benchmark::State &state)
     benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_SignatureCheck)->Arg(512)->Arg(2048)->Arg(4096);
-
-static void
-BM_EventQueueScheduleStep(benchmark::State &state)
-{
-    EventQueue eq;
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        eq.schedule(100, [&n] { ++n; });
-        eq.step();
-    }
-    benchmark::DoNotOptimize(n);
-}
-BENCHMARK(BM_EventQueueScheduleStep);
-
-static void
-BM_CacheLookupHit(benchmark::State &state)
-{
-    Cache cache("bm", MiB(1), 8);
-    CacheLine ev;
-    bool had;
-    for (Addr a = 0; a < MiB(1); a += kLineBytes)
-        cache.allocate(a, ev, had);
-    Rng rng(7);
-    CacheLine *line = nullptr;
-    for (auto _ : state)
-        line = cache.lookup((rng.next() % (MiB(1) / kLineBytes))
-                            << kLineShift);
-    benchmark::DoNotOptimize(line);
-}
-BENCHMARK(BM_CacheLookupHit);
 
 static void
 BM_CacheAllocateEvict(benchmark::State &state)

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <stdexcept>
 
 #include "harness/experiments.hh"
 #include "harness/report.hh"
@@ -1243,16 +1244,15 @@ std::vector<ServicePoint>
 serviceArrivals(const FigureOpts &o)
 {
     if (!o.arrivalSpec.empty()) {
-        // CLI override (--arrival=): one custom point. The spec was
-        // validated at argument-parse time; a failure here means the
-        // figure is driven programmatically with a bad string, which
-        // falls back to the built-in sweep below.
+        // CLI override (--arrival=): one custom point. The CLI checks
+        // the spec when it parses arguments; a figure driven
+        // programmatically with a bad string is rejected here.
         traffic::ArrivalSpec s;
         std::string err;
-        if (traffic::ArrivalSpec::parse(o.arrivalSpec, &s, &err))
-            return {{"custom", s}};
-        std::fprintf(stderr, "service: bad arrival spec '%s': %s\n",
-                     o.arrivalSpec.c_str(), err.c_str());
+        if (!traffic::ArrivalSpec::parse(o.arrivalSpec, &s, &err))
+            throw std::invalid_argument("service: bad arrival spec '" +
+                                        o.arrivalSpec + "': " + err);
+        return {{"custom", s}};
     }
     if (o.tiny)
         return {{"1M", poissonAt(1e6)}};

@@ -53,8 +53,9 @@ struct FigureOpts
      *  sweep config only when set so default bytes stay frozen). */
     std::string policySpec;
     /** Service-figure arrival override (--arrival=, "" = built-in
-     *  sweep points). Validated ArrivalSpec text, e.g.
-     *  "poisson:rate=2e6" or "mmpp:rate=1e6,burst=4,occ=0.2". */
+     *  sweep points). ArrivalSpec text, e.g. "poisson:rate=2e6" or
+     *  "mmpp:rate=1e6,burst=4,occ=0.2"; the service figure's
+     *  makeJobs throws std::invalid_argument if it does not parse. */
     std::string arrivalSpec;
     /** Service-figure Zipf skew override (--zipf-theta=, < 0 = keep
      *  the figure default of 0.99; 0 selects uniform keys). */

@@ -32,7 +32,7 @@ Runner::addDomain(const std::string &name)
     return _sys.createDomain(name);
 }
 
-Task
+CoTask<void>
 Runner::rootTask(Slot &slot)
 {
     co_await slot.fn(*slot.ctx);

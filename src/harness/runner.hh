@@ -151,10 +151,10 @@ class Runner
         bool background = false;
         bool done = false;
         Tick finishTick = 0;
-        Task task;
+        CoTask<void> task;
     };
 
-    Task rootTask(Slot &slot);
+    CoTask<void> rootTask(Slot &slot);
 
     TxContext &addSlot(DomainId domain, WorkerFn fn, bool background);
     bool workersDone() const;

@@ -28,7 +28,6 @@
 #include <coroutine>
 #include <cstdint>
 
-#include "htm/co_task.hh"
 #include "htm/conflict_policy.hh"
 #include "htm/htm_system.hh"
 #include "sim/random.hh"
@@ -37,6 +36,15 @@
 
 namespace uhtm
 {
+
+/**
+ * Exception signalling that the current transaction has been aborted
+ * (conflict, capacity overflow, or lock preemption). Thrown from memory
+ * operation awaiters; caught by the transaction retry loop.
+ */
+struct TxAborted
+{
+};
 
 /** Awaitable single memory operation (load or store, word or line). */
 class MemOp
@@ -126,54 +134,6 @@ class BurstOp
     Addr _base;
     unsigned _lines;
     bool _isWrite;
-};
-
-/** Awaitable commit protocol. */
-class CommitOp
-{
-  public:
-    CommitOp(HtmSystem &sys, CoreId core) : _sys(sys), _core(core) {}
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        const Tick done = _sys.issueCommit(_core);
-        _sys.eventQueue().scheduleAt(done, [h] { h.resume(); });
-    }
-
-    void await_resume() const noexcept {}
-
-  private:
-    HtmSystem &_sys;
-    CoreId _core;
-};
-
-/** Awaitable abort protocol plus backoff delay. */
-class AbortOp
-{
-  public:
-    AbortOp(HtmSystem &sys, CoreId core, Tick backoff)
-        : _sys(sys), _core(core), _backoff(backoff)
-    {
-    }
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        const Tick done = _sys.issueAbort(_core) + _backoff;
-        _sys.eventQueue().scheduleAt(done, [h] { h.resume(); });
-    }
-
-    void await_resume() const noexcept {}
-
-  private:
-    HtmSystem &_sys;
-    CoreId _core;
-    Tick _backoff;
 };
 
 /** Awaitable wait for the domain's slow-path lock to be released. */
@@ -269,7 +229,12 @@ class TxContext
     }
 
     /** Spend @p d ticks of compute time. */
-    auto compute(Tick d) { return delayFor(_sys.eventQueue(), d); }
+    auto
+    compute(Tick d)
+    {
+        EventQueue &eq = _sys.eventQueue();
+        return ResumeAfter{eq, [&eq, d] { return eq.now() + d; }};
+    }
 
     /** @} */
 
@@ -306,7 +271,9 @@ class TxContext
             if (serialize) {
                 _sys.beginSerializedTx(_core, _domain, attempt);
                 co_await body(*this);
-                co_await CommitOp(_sys, _core);
+                co_await ResumeAfter{
+                    _sys.eventQueue(),
+                    [this] { return _sys.issueCommit(_core); }};
                 ++_stats.commits;
                 ++_stats.serializedCommits;
                 noteAttempts(attempt + 1);
@@ -324,15 +291,19 @@ class TxContext
                 aborted = true;
             }
             if (!aborted) {
-                co_await CommitOp(_sys, _core);
+                co_await ResumeAfter{
+                    _sys.eventQueue(),
+                    [this] { return _sys.issueCommit(_core); }};
                 ++_stats.commits;
                 noteAttempts(attempt + 1);
                 co_return;
             }
             _lastAbortCause = _sys.currentTx(_core)->abortCause;
             ++_stats.aborts;
-            co_await AbortOp(_sys, _core,
-                             cp.backoffDelay(attempt, _rng));
+            const Tick backoff = cp.backoffDelay(attempt, _rng);
+            co_await ResumeAfter{_sys.eventQueue(), [this, backoff] {
+                return _sys.issueAbort(_core) + backoff;
+            }};
             ++attempt;
             if (cp.shouldSerialize(attempt, _lastAbortCause))
                 serialize = true;

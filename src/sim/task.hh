@@ -15,140 +15,198 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
-#include "sim/types.hh"
 
 namespace uhtm
 {
 
+namespace detail
+{
+
+/** Promise behaviour shared by every CoTask<T>. */
+struct PromiseBase
+{
+    std::coroutine_handle<> continuation;
+    std::exception_ptr exc;
+
+    /** Frames come from the job arena while a scope is active. */
+    static void *operator new(std::size_t n) { return arenaNew(n); }
+    static void operator delete(void *p) noexcept { arenaDelete(p); }
+
+    std::suspend_always initial_suspend() noexcept { return {}; }
+
+    /** Resume the awaiting coroutine by symmetric transfer, or return
+     *  to whoever resumed a root. Either way the frame stays alive
+     *  until its CoTask is destroyed. */
+    struct FinalAwaiter
+    {
+        bool await_ready() noexcept { return false; }
+
+        template <typename P>
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<P> h) noexcept
+        {
+            auto cont = h.promise().continuation;
+            return cont ? cont : std::noop_coroutine();
+        }
+
+        void await_resume() noexcept {}
+    };
+
+    FinalAwaiter final_suspend() noexcept { return {}; }
+
+    /**
+     * An awaited task hands the exception to its awaiter. A started
+     * root has nobody to hand it to: an exception escaping it is a
+     * programming error and terminates the simulation (workloads catch
+     * transactional aborts inside their retry loops).
+     */
+    void
+    unhandled_exception()
+    {
+        if (!continuation)
+            std::terminate();
+        exc = std::current_exception();
+    }
+};
+
+template <typename T>
+struct Promise : PromiseBase
+{
+    std::optional<T> value;
+
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value.emplace(std::forward<U>(v));
+    }
+};
+
+template <>
+struct Promise<void> : PromiseBase
+{
+    void return_void() {}
+};
+
+} // namespace detail
+
 /**
- * A fire-and-forget coroutine task owned by its creator.
+ * Lazily started coroutine returning T, owned by its creator.
  *
- * The coroutine starts suspended; call start() to begin execution.
- * After the body finishes it suspends at the final suspend point so the
- * owner can observe done() before the frame is destroyed (by ~Task).
- * Unhandled exceptions escaping a task body are a programming error and
- * terminate the simulation; workloads catch transactional aborts
- * themselves inside their retry loops.
+ * Another coroutine co_awaits it: completion resumes the awaiter via
+ * symmetric transfer, and the value or exception comes back through
+ * await_resume. Transactional aborts unwind this way through
+ * arbitrarily deep call chains back to the retry loop. A root is
+ * driven with start() instead, and done() reports that its body ran
+ * to completion.
  */
-class Task
+template <typename T>
+class [[nodiscard]] CoTask
 {
   public:
-    struct promise_type
+    struct promise_type : detail::Promise<T>
     {
-        bool finished = false;
-
-        /** Frames come from the job arena while a scope is active. */
-        static void *operator new(std::size_t n) { return arenaNew(n); }
-        static void operator delete(void *p) noexcept { arenaDelete(p); }
-
-        Task
+        CoTask
         get_return_object()
         {
-            return Task{
+            return CoTask{
                 std::coroutine_handle<promise_type>::from_promise(*this)};
         }
-
-        std::suspend_always initial_suspend() noexcept { return {}; }
-
-        std::suspend_always
-        final_suspend() noexcept
-        {
-            finished = true;
-            return {};
-        }
-
-        void return_void() {}
-        void unhandled_exception() { std::terminate(); }
     };
 
     using Handle = std::coroutine_handle<promise_type>;
 
-    Task() = default;
-    explicit Task(Handle h) : _h(h) {}
+    CoTask() = default;
+    explicit CoTask(Handle h) : _h(h) {}
+    CoTask(CoTask &&o) noexcept : _h(std::exchange(o._h, {})) {}
 
-    Task(Task &&o) noexcept : _h(std::exchange(o._h, {})) {}
-
-    Task &
-    operator=(Task &&o) noexcept
+    CoTask &
+    operator=(CoTask &&o) noexcept
     {
         if (this != &o) {
-            destroy();
+            if (_h)
+                _h.destroy();
             _h = std::exchange(o._h, {});
         }
         return *this;
     }
 
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
+    CoTask(const CoTask &) = delete;
+    CoTask &operator=(const CoTask &) = delete;
 
-    ~Task() { destroy(); }
+    ~CoTask()
+    {
+        if (_h)
+            _h.destroy();
+    }
 
-    /** Begin (or resume) execution of the coroutine body. */
+    /** Begin (or resume) a root's body. */
     void
     start()
     {
-        if (_h && !_h.promise().finished)
+        if (_h && !_h.done())
             _h.resume();
     }
 
     /** True once the coroutine body has run to completion. */
-    bool done() const { return !_h || _h.promise().finished; }
+    bool done() const { return !_h || _h.done(); }
 
-    /** True if this Task owns a live coroutine frame. */
-    bool valid() const { return static_cast<bool>(_h); }
+    bool await_ready() const noexcept { return false; }
 
-  private:
-    void
-    destroy()
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> cont) noexcept
     {
-        if (_h) {
-            _h.destroy();
-            _h = {};
-        }
+        _h.promise().continuation = cont;
+        return _h;
     }
 
+    T
+    await_resume()
+    {
+        auto &p = _h.promise();
+        if (p.exc)
+            std::rethrow_exception(p.exc);
+        if constexpr (!std::is_void_v<T>)
+            return std::move(*p.value);
+    }
+
+  private:
     Handle _h;
 };
 
+/** A root coroutine: one per simulated thread, driven by start(). */
+using Task = CoTask<void>;
+
 /**
- * Awaitable that suspends the current coroutine and passes its handle to
- * a scheduler callable, which must arrange for the handle to be resumed
- * exactly once.
+ * Awaitable that suspends the coroutine, calls @p issue (which starts
+ * whatever the coroutine waits for and returns the tick it completes
+ * at), and resumes the coroutine at that tick.
  */
 template <typename F>
-struct SuspendInto
+struct ResumeAfter
 {
-    F scheduler;
+    EventQueue &eq;
+    F issue;
 
     bool await_ready() const noexcept { return false; }
 
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        scheduler(h);
+        eq.scheduleAt(issue(), [h] { h.resume(); });
     }
 
     void await_resume() const noexcept {}
 };
 
 template <typename F>
-SuspendInto(F) -> SuspendInto<F>;
-
-/**
- * Awaitable that resumes the coroutine after @p delay ticks of simulated
- * time. Used for compute phases and backoff delays.
- */
-inline auto
-delayFor(EventQueue &eq, Tick delay)
-{
-    return SuspendInto{[&eq, delay](std::coroutine_handle<> h) {
-        eq.schedule(delay, [h] { h.resume(); });
-    }};
-}
+ResumeAfter(EventQueue &, F) -> ResumeAfter<F>;
 
 } // namespace uhtm
 

@@ -136,6 +136,22 @@ TEST(CoTask, DeepRecursionThroughCoroutines)
     EXPECT_EQ(out, 610u);
 }
 
+TEST(CoTaskDeathTest, ExceptionEscapingStartedRootTerminates)
+{
+    // An awaited task hands its exception to the awaiter; a started
+    // root has no awaiter, so the exception must not vanish.
+    auto body = []() -> Task {
+        throw TxAborted{};
+        co_return;
+    };
+    EXPECT_DEATH(
+        {
+            Task root = body();
+            root.start();
+        },
+        "");
+}
+
 TEST(Burst, TouchesAllLinesOfTheRange)
 {
     EventQueue eq;

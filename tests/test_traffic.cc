@@ -4,14 +4,16 @@
  * and arrival generators (empirical vs analytic distributions),
  * byte-level determinism of the request stream and the service figure
  * across scheduler thread counts, per-tenant abort attribution summing
- * exactly to the run's abort total, and the figure-registry collision
- * guard.
+ * exactly to the run's abort total, rejection of a malformed arrival
+ * spec, and the figure-registry collision guard.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/result_sink.hh"
@@ -401,6 +403,24 @@ TEST(ServiceFigure, ByteIdenticalAcrossSchedulerThreads)
                                          "--jobs=1 vs --jobs=8";
     EXPECT_EQ(one.second, eight.second) << "METRICS JSON differs across "
                                            "--jobs=1 vs --jobs=8";
+}
+
+TEST(ServiceFigure, MalformedArrivalSpecThrows)
+{
+    const figures::Figure *fig = figures::find("service");
+    ASSERT_NE(fig, nullptr);
+    figures::FigureOpts opts;
+    opts.tiny = true;
+    opts.arrivalSpec = "poisson:rate=abc";
+    try {
+        (void)fig->makeJobs(opts);
+        FAIL() << "a malformed arrival spec must not fall back to the "
+                  "built-in sweep";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("poisson:rate=abc"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /* ---------------- figure registry collision guard ---------------- */
