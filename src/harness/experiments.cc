@@ -84,40 +84,34 @@ runEcho(const MachineConfig &machine, const HtmPolicy &policy,
 }
 
 RunMetrics
-runHybridIndex(const MachineConfig &machine, const HtmPolicy &policy,
-               const HybridKvParams &params, unsigned workers,
-               std::uint64_t seed)
+runHybridAndDual(const MachineConfig &machine, const HtmPolicy &policy,
+                 const HybridKvParams &hybrid, unsigned hybridWorkers,
+                 const DualKvParams &dual, unsigned dualPairs,
+                 std::uint64_t seed)
 {
     Runner runner(machine, policy, seed);
     RunControl &rc = runner.control();
-    const DomainId dom = runner.addDomain("hybrid-index");
-    auto kv = std::make_shared<HybridIndexKv>(
-        runner.system(), runner.regions(), params, workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        runner.addWorker(dom, [kv, w, &rc](TxContext &ctx) {
-            return kv->worker(ctx, w, rc);
-        });
-    }
-    return runner.run();
-}
 
-RunMetrics
-runDual(const MachineConfig &machine, const HtmPolicy &policy,
-        const DualKvParams &params, unsigned pairs, std::uint64_t seed)
-{
-    Runner runner(machine, policy, seed);
-    RunControl &rc = runner.control();
-    const DomainId dom = runner.addDomain("dual");
-    auto kv = std::make_shared<DualKv>(runner.system(), runner.regions(),
-                                       params, pairs);
-    for (unsigned p = 0; p < pairs; ++p) {
-        runner.addWorker(dom, [kv, p, &rc](TxContext &ctx) {
-            return kv->foreground(ctx, p, rc);
+    const DomainId hybridDom = runner.addDomain("hybrid-index");
+    auto hkv = std::make_shared<HybridIndexKv>(
+        runner.system(), runner.regions(), hybrid, hybridWorkers);
+    for (unsigned w = 0; w < hybridWorkers; ++w) {
+        runner.addWorker(hybridDom, [hkv, w, &rc](TxContext &ctx) {
+            return hkv->worker(ctx, w, rc);
         });
     }
-    for (unsigned p = 0; p < pairs; ++p) {
-        runner.addBackground(dom, [kv, p, &rc](TxContext &ctx) {
-            return kv->background(ctx, p, rc);
+
+    const DomainId dualDom = runner.addDomain("dual");
+    auto dkv = std::make_shared<DualKv>(runner.system(), runner.regions(),
+                                        dual, dualPairs);
+    for (unsigned p = 0; p < dualPairs; ++p) {
+        runner.addWorker(dualDom, [dkv, p, &rc](TxContext &ctx) {
+            return dkv->foreground(ctx, p, rc);
+        });
+    }
+    for (unsigned p = 0; p < dualPairs; ++p) {
+        runner.addBackground(dualDom, [dkv, p, &rc](TxContext &ctx) {
+            return dkv->background(ctx, p, rc);
         });
     }
     return runner.run();
@@ -168,25 +162,6 @@ runContention(const MachineConfig &machine, const HtmPolicy &policy,
         });
     }
     return runner.run();
-}
-
-std::vector<SystemVariant>
-paperSystems(const std::vector<unsigned> &sig_bits, bool include_sig_only)
-{
-    std::vector<SystemVariant> out;
-    out.push_back({"LLC-Bounded", HtmPolicy::llcBounded()});
-    if (include_sig_only && !sig_bits.empty()) {
-        out.push_back({"Sig-Only(" + std::to_string(sig_bits.back()) + ")",
-                       HtmPolicy::signatureOnly(sig_bits.back())});
-    }
-    for (unsigned bits : sig_bits) {
-        out.push_back({std::to_string(bits) + "_sig",
-                       HtmPolicy::uhtmSig(bits)});
-        out.push_back({std::to_string(bits) + "_opt",
-                       HtmPolicy::uhtmOpt(bits)});
-    }
-    out.push_back({"Ideal", HtmPolicy::ideal()});
-    return out;
 }
 
 RunMetrics

@@ -1,8 +1,9 @@
 /**
  * @file
- * Canned experiment assemblies shared by the benchmark binaries: the
- * consolidated PMDK runs, the hybrid key-value stores and the Echo
- * store, each over a configurable HTM policy (system variant).
+ * Canned experiment assemblies that the figures' jobs run: the
+ * consolidated PMDK runs, the hybrid key-value stores, the Echo store,
+ * the contention mix and the service workload, each over a
+ * configurable HTM policy (system variant).
  */
 
 #ifndef UHTM_HARNESS_EXPERIMENTS_HH
@@ -47,20 +48,17 @@ RunMetrics runEcho(const MachineConfig &machine, const HtmPolicy &policy,
                    const EchoParams &params, unsigned clients,
                    unsigned hogs, std::uint64_t seed);
 
-/** Hybrid-Index KV store with @p workers threads in one domain. */
-RunMetrics runHybridIndex(const MachineConfig &machine,
-                          const HtmPolicy &policy,
-                          const HybridKvParams &params, unsigned workers,
-                          std::uint64_t seed);
-
-/** Dual KV store with @p pairs foreground/background thread pairs. */
-RunMetrics runDual(const MachineConfig &machine, const HtmPolicy &policy,
-                   const DualKvParams &params, unsigned pairs,
-                   std::uint64_t seed);
-
-/** The paper's evaluated system list for a given signature size set. */
-std::vector<SystemVariant>
-paperSystems(const std::vector<unsigned> &sig_bits, bool include_sig_only);
+/**
+ * Figure 9's consolidation: a Hybrid-Index KV store with
+ * @p hybridWorkers threads (domain 0) beside a Dual KV store with
+ * @p dualPairs foreground/background thread pairs (domain 1).
+ */
+RunMetrics runHybridAndDual(const MachineConfig &machine,
+                            const HtmPolicy &policy,
+                            const HybridKvParams &hybrid,
+                            unsigned hybridWorkers,
+                            const DualKvParams &dual, unsigned dualPairs,
+                            std::uint64_t seed);
 
 /**
  * Adversarial high-contention mix for the conflict-policy figure and

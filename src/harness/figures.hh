@@ -1,20 +1,19 @@
 /**
  * @file
- * Figure registry: every reproduced paper figure/table as a set of
- * independent experiment jobs plus a text renderer.
+ * Figure registry: every reproduced paper figure/table as one function
+ * that walks the figure's axes once. At each point it declares the
+ * point's single-simulation job and, when that job's result is
+ * present, the table row it feeds. Running the function twice gives
+ * both halves of a figure:
  *
- * Each figure used to be a standalone `bench/bench_*.cc` binary with
- * its own serial sweep loop and argument parsing. The registry splits
- * that into:
- *
- *   makeJobs(opts)  — the sweep's independent single-simulation jobs
- *                     (what the exec::SweepScheduler runs in parallel)
- *   render(...)     — the figure's fixed-width table, computed from
+ *   makeJobs(opts)  — the sweep's independent jobs (what the
+ *                     exec::SweepScheduler runs in parallel)
+ *   render(...)     — the figure's fixed-width tables, computed from
  *                     the job results by key
  *
- * so the unified `uhtm_bench` driver, the thin per-figure wrapper
- * binaries and the in-process smoke tests all share one definition of
- * every experiment.
+ * so the `uhtm_bench` driver, `perfbench` and the in-process tests
+ * share one definition of every experiment, and a figure's job keys
+ * and its table lookups cannot drift apart.
  */
 
 #ifndef UHTM_HARNESS_FIGURES_HH
@@ -22,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,18 +65,25 @@ struct FigureOpts
     double rwMix = -1.0;
 };
 
+class Sweep;
+
 /** One reproduced figure/table. */
 struct Figure
 {
     std::string name;  ///< subcommand, e.g. "fig6"
     std::string title; ///< banner line
-    std::function<std::vector<exec::Job>(const FigureOpts &)> makeJobs;
-    /** Render the text table (and paper-shape footnote) to @p out.
+    /** Walks the figure's axes: Sweep::job declares each job, and
+     *  Sweep::find / Sweep::row fill the tables from its result. */
+    void (*sweep)(const FigureOpts &, Sweep &);
+
+    /** The sweep's jobs, in a fixed order. */
+    std::vector<exec::Job> makeJobs(const FigureOpts &opts) const;
+    /** Render the text tables (and paper-shape footnotes) to @p out.
      *  Tolerates missing results (e.g. a --filter'ed sweep): absent
-     *  cells render as "-". */
-    std::function<void(const FigureOpts &,
-                       const std::vector<exec::JobResult> &, std::FILE *)>
-        render;
+     *  rows are left out and absent cells render as "-". */
+    void render(const FigureOpts &opts,
+                const std::vector<exec::JobResult> &results,
+                std::FILE *out) const;
 };
 
 /** All figures, in paper order. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table formatting for the benchmark binaries: each bench
+ * Plain-text table formatting for the figure renderers: each figure
  * prints the rows/series of the paper figure it regenerates.
  */
 

@@ -428,10 +428,10 @@ TEST(ServiceFigure, MalformedArrivalSpecThrows)
 TEST(FigureRegistry, DuplicateNameDetected)
 {
     std::vector<figures::Figure> figs;
-    figs.push_back({"a", "", nullptr, nullptr});
-    figs.push_back({"b", "", nullptr, nullptr});
+    figs.push_back({"a", "", nullptr});
+    figs.push_back({"b", "", nullptr});
     EXPECT_EQ(figures::duplicateName(figs), "");
-    figs.push_back({"a", "again", nullptr, nullptr});
+    figs.push_back({"a", "again", nullptr});
     EXPECT_EQ(figures::duplicateName(figs), "a");
 }
 

@@ -210,14 +210,5 @@ TEST(Runner, PerDomainMetricsSeparateBenchmarks)
     EXPECT_GT(m.domainOpsPerSec(b), m.domainOpsPerSec(a));
 }
 
-TEST(Experiments, PaperSystemListCoversAllVariants)
-{
-    auto systems = experiments::paperSystems({512, 4096}, true);
-    // bounded + sig-only + 2x(sig,opt) + ideal
-    EXPECT_EQ(systems.size(), 7u);
-    EXPECT_EQ(systems.front().label, "LLC-Bounded");
-    EXPECT_EQ(systems.back().label, "Ideal");
-}
-
 } // namespace
 } // namespace uhtm
