@@ -43,8 +43,8 @@ CrashSweepRunner::sweep()
     fi.setOnPoint([&eq, op, stride](const PersistEvent &ev,
                                     const std::uint8_t *) {
         const bool full = ev.index % stride == 0;
-        eq.scheduleAt(ev.completeAt, [&eq, op, ev, full] {
-            op->checkCrashAt(eq.now(), full, ev.index);
+        eq.scheduleAt(ev.completeAt, [&eq, op, index = ev.index, full] {
+            op->checkCrashAt(eq.now(), full, index);
         });
     });
 

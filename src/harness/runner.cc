@@ -11,11 +11,11 @@ namespace uhtm
 Runner::Runner(MachineConfig mcfg, HtmPolicy policy, std::uint64_t seed)
     : _sys(_eq, mcfg, policy), _seed(seed)
 {
-    // Binary event tracing is opt-in (UHTM_OBS_TRACE / --trace=DIR):
+    // Binary event tracing is opt-in (--trace=DIR):
     // one tracer per run, one file per run, spilled as it fills. A
     // trace that cannot be written fails the run rather than silently
     // producing nothing.
-    const std::string &dir = obs::traceDir();
+    const std::string dir = obs::traceDir();
     if (!dir.empty()) {
         _tracer = std::make_unique<obs::Tracer>(
             obs::nextTraceFilePath(dir, seed), seed);

@@ -7,6 +7,8 @@
 #ifndef UHTM_HTM_CONFIG_HH
 #define UHTM_HTM_CONFIG_HH
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "sim/num_parse.hh"
@@ -118,8 +120,9 @@ struct PolicyDescriptor
 {
     ConflictPolicyKind kind = ConflictPolicyKind::Fixed;
 
-    /** Conflict-abort retries before the serialized fallback. Ignored
-     *  by Fixed (which keeps using HtmPolicy::maxRetries). */
+    /** Conflict-abort retries before the serialized fallback. Unused
+     *  by Fixed (which keeps using HtmPolicy::maxRetries), so parse()
+     *  rejects knobs on it. */
     int retryBudget = 4;
     /** Backoff base/cap, ns. Ignored by Fixed (HtmPolicy::backoff*). */
     double backoffBaseNs = 100;
@@ -140,7 +143,9 @@ struct PolicyDescriptor
 
     const char *name() const { return kindName(kind); }
 
-    /** Spec string round-trip (sweep-config echo). */
+    /** Spec string with every knob (sweep-config echo). It round-trips
+     *  through parse() for every kind but `fixed`, whose knobs parse()
+     *  rejects because Fixed ignores them. */
     std::string
     spec() const
     {
@@ -171,8 +176,9 @@ struct PolicyDescriptor
 
     /**
      * Parse `kind[:key=value,...]` (keys: retries, base, max; ns for
-     * the backoff pair). Unknown kinds/keys and invalid values produce
-     * a clear error and leave @p out untouched.
+     * the backoff pair). Unknown kinds/keys, invalid values and knobs
+     * on `fixed` (which would be ignored) produce a clear error and
+     * leave @p out untouched.
      */
     static bool
     parse(const std::string &spec, PolicyDescriptor *out,
@@ -214,6 +220,13 @@ struct PolicyDescriptor
                            "' (expected key=value)";
                 return false;
             }
+            if (d.kind == ConflictPolicyKind::Fixed) {
+                if (err)
+                    *err = "policy 'fixed' takes no knobs (it uses the "
+                           "system's own retry and backoff settings), "
+                           "got '" + kv + "'";
+                return false;
+            }
             const std::string key = kv.substr(0, eq);
             const std::string val = kv.substr(eq + 1);
             double num = 0.0;
@@ -223,13 +236,24 @@ struct PolicyDescriptor
                            "': not a number: '" + val + "'";
                 return false;
             }
-            if (key == "retries")
+            if (key == "retries") {
+                // Negative counts are left to validate(); anything else
+                // must be a whole number that fits an int.
+                constexpr int kMax = std::numeric_limits<int>::max();
+                if (num != std::trunc(num) || num > kMax ||
+                    num < std::numeric_limits<int>::min()) {
+                    if (err)
+                        *err = "policy knob 'retries': expected a whole "
+                               "number in [0, " + std::to_string(kMax) +
+                               "], got '" + val + "'";
+                    return false;
+                }
                 d.retryBudget = static_cast<int>(num);
-            else if (key == "base")
+            } else if (key == "base") {
                 d.backoffBaseNs = num;
-            else if (key == "max")
+            } else if (key == "max") {
                 d.backoffMaxNs = num;
-            else {
+            } else {
                 if (err)
                     *err = "unknown policy knob '" + key +
                            "' (expected retries, base, max)";

@@ -5,25 +5,6 @@
 namespace uhtm
 {
 
-namespace
-{
-
-/** Number of sets for @p size_bytes and @p ways, rounded down to a
- *  power of two. */
-std::uint64_t
-setsFor(std::uint64_t size_bytes, unsigned ways)
-{
-    assert(ways >= 1);
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    assert(lines >= ways);
-    std::uint64_t sets = 1;
-    while ((sets << 1) <= lines / ways)
-        sets <<= 1;
-    return sets;
-}
-
-} // namespace
-
 Cache::Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
              bool tx_aware_replacement)
     : _name(std::move(name)), _ways(ways), _txAware(tx_aware_replacement),

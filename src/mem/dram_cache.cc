@@ -2,29 +2,11 @@
 
 #include <cassert>
 
+#include "mem/layout.hh"
 #include "obs/event.hh"
 
 namespace uhtm
 {
-
-namespace
-{
-
-/** Number of sets for @p size_bytes and @p ways, rounded down to a
- *  power of two. */
-std::uint64_t
-setsFor(std::uint64_t size_bytes, unsigned ways)
-{
-    assert(ways >= 1);
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    assert(lines >= ways);
-    std::uint64_t sets = 1;
-    while ((sets << 1) <= lines / ways)
-        sets <<= 1;
-    return sets;
-}
-
-} // namespace
 
 DramCache::DramCache(std::uint64_t size_bytes, unsigned ways)
     : _ways(ways), _numSets(setsFor(size_bytes, ways)),

@@ -12,6 +12,7 @@
 #define UHTM_MEM_LAYOUT_HH
 
 #include <cassert>
+#include <cstdint>
 
 #include "sim/types.hh"
 
@@ -78,6 +79,22 @@ struct MemLayout
                (a >= kNvmLogBase && a < kNvmLogBase + kLogSize);
     }
 };
+
+/**
+ * Number of sets of a @p ways-way cache of @p size_bytes, rounded down
+ * to a power of two. Shared by the on-chip caches and the DRAM cache.
+ */
+inline std::uint64_t
+setsFor(std::uint64_t size_bytes, unsigned ways)
+{
+    assert(ways >= 1);
+    const std::uint64_t lines = size_bytes / kLineBytes;
+    assert(lines >= ways);
+    std::uint64_t sets = 1;
+    while ((sets << 1) <= lines / ways)
+        sets <<= 1;
+    return sets;
+}
 
 static_assert(MemLayout::kNvmBase >
                   MemLayout::kDramLogBase + MemLayout::kLogSize,

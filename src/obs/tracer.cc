@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -18,21 +17,15 @@ namespace
 // construction, never on a simulation hot path.
 std::mutex g_dirMutex;
 std::string g_traceDir;
-bool g_dirInitialized = false;
 
 std::atomic<std::uint64_t> g_traceSeq{0};
 
 } // namespace
 
-const std::string &
+std::string
 traceDir()
 {
     std::lock_guard<std::mutex> lock(g_dirMutex);
-    if (!g_dirInitialized) {
-        g_dirInitialized = true;
-        if (const char *env = std::getenv("UHTM_OBS_TRACE"))
-            g_traceDir = env;
-    }
     return g_traceDir;
 }
 
@@ -40,7 +33,6 @@ void
 setTraceDir(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(g_dirMutex);
-    g_dirInitialized = true;
     g_traceDir = dir;
 }
 

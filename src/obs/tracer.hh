@@ -103,11 +103,11 @@ class Tracer
 };
 
 /**
- * Process-wide trace-output directory ("" = tracing disabled).
- * Initialized once from the UHTM_OBS_TRACE environment variable; can
- * be overridden programmatically (bench --trace=DIR).
+ * Process-wide trace-output directory ("" = tracing disabled, the
+ * default). Set only by setTraceDir() (bench --trace=DIR). Returns a
+ * copy taken under the lock, so a concurrent setTraceDir() is safe.
  */
-const std::string &traceDir();
+std::string traceDir();
 void setTraceDir(const std::string &dir);
 
 /**

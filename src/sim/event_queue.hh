@@ -2,31 +2,28 @@
  * @file
  * Discrete-event queue driving the whole simulation.
  *
- * Events are arbitrary callables scheduled at an absolute tick. Events
- * scheduled for the same tick execute in scheduling order (a per-queue
- * sequence number breaks ties), which keeps the simulation deterministic.
+ * Events are callables scheduled at an absolute tick. Events scheduled
+ * for the same tick execute in scheduling order (a per-queue sequence
+ * number breaks ties), which keeps the simulation deterministic.
  *
- * Internally the queue is a calendar scheduler: events within the next
- * kRingTicks of simulated time live in a ring of per-tick FIFO buckets
- * (append at the tail preserves scheduling order), and a two-level
- * occupancy bitmap finds the next non-empty bucket in a handful of word
- * scans. Events beyond the ring's horizon go to a small binary min-heap
- * ordered by (tick, seq); because time only moves forward, every
- * far-heap event at a given tick was scheduled before every ring event
- * at that tick, so draining the heap first on tick ties reproduces the
- * exact global (tick, seq) order of a single priority queue.
+ * The queue is one binary min-heap ordered by (tick, seq). It rarely
+ * holds more than a couple of dozen events, so a heap over a flat
+ * vector is both the simplest and a fast structure. Each event stores
+ * its callable inline: a trampoline pointer plus a fixed-size capture
+ * buffer, so scheduling never allocates once the vector has grown.
  */
 
 #ifndef UHTM_SIM_EVENT_QUEUE_HH
 #define UHTM_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <cstring>
+#include <new>
+#include <type_traits>
 #include <vector>
 
-#include "sim/inline_callback.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -42,23 +39,10 @@ namespace uhtm
 class EventQueue
 {
   public:
-    using Callback = InlineCallback;
+    /** Largest capture a scheduled callable may carry, in bytes. */
+    static constexpr std::size_t kCaptureBytes = 32;
 
-    /**
-     * Width of the near-future window, in ticks. One tick is 1 ps, so
-     * 2^18 ticks = 262 ns covers every memory latency in the machine
-     * model (NVM reads are 175 ns); only long backoffs and watchdog
-     * events overflow to the far-future heap.
-     */
-    static constexpr Tick kRingTicks = Tick(1) << 18;
-
-    EventQueue()
-        : _buckets(kRingTicks),
-          _occ(kWords, 0),
-          _occSum(kSumWords, 0)
-    {
-    }
-
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -69,40 +53,42 @@ class EventQueue
      * Schedule a callback @p delay ticks in the future.
      * @return the absolute tick at which the event will fire.
      */
+    template <typename F>
     Tick
-    schedule(Tick delay, Callback cb)
+    schedule(Tick delay, const F &cb)
     {
-        return scheduleAt(_now + delay, std::move(cb));
+        return scheduleAt(_now + delay, cb);
     }
 
     /**
      * Schedule a callback at absolute tick @p when.
      * Scheduling in the past is a programming error and fires the
      * event at the current tick instead.
+     *
+     * The callable is copied byte-wise into the event, so it must be
+     * trivially copyable and fit in kCaptureBytes: capture pointers,
+     * handles and small values, never an owning container.
      */
+    template <typename F>
     Tick
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, const F &cb)
     {
+        static_assert(std::is_trivially_copyable_v<F>,
+                      "event callbacks must be trivially copyable");
+        static_assert(sizeof(F) <= kCaptureBytes,
+                      "event callback capture exceeds kCaptureBytes");
+        static_assert(alignof(F) <= alignof(std::uint64_t),
+                      "event callback capture is over-aligned");
         if (when < _now)
             when = _now;
-        if (when - _now < kRingTicks) {
-            const std::uint32_t idx =
-                static_cast<std::uint32_t>(when & kRingMask);
-            const std::uint32_t n = acquireNode(std::move(cb));
-            Bucket &b = _buckets[idx];
-            if (b.tail) {
-                _nodes[b.tail - 1].next = n;
-                b.tail = n;
-            } else {
-                b.head = b.tail = n;
-                setOcc(idx);
-            }
-            ++_ringCount;
-        } else {
-            _far.push_back(FarEntry{when, _nextSeq, std::move(cb)});
-            std::push_heap(_far.begin(), _far.end(), FarAfter{});
-        }
-        ++_nextSeq;
+        Event &e = _heap.emplace_back();
+        e.when = when;
+        e.seq = _nextSeq++;
+        e.fn = [](void *capture) {
+            (*std::launder(static_cast<F *>(capture)))();
+        };
+        std::memcpy(e.capture, &cb, sizeof(F));
+        std::push_heap(_heap.begin(), _heap.end(), FiresAfter{});
         return when;
     }
 
@@ -121,10 +107,10 @@ class EventQueue
     void clearStop() { _stopRequested = false; }
 
     /** True if no events remain. */
-    bool empty() const { return _ringCount == 0 && _far.empty(); }
+    bool empty() const { return _heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return _ringCount + _far.size(); }
+    std::size_t pending() const { return _heap.size(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
@@ -137,10 +123,16 @@ class EventQueue
     bool
     step()
     {
-        Next n;
-        if (!peekNext(n))
+        if (_heap.empty())
             return false;
-        execute(n);
+        std::pop_heap(_heap.begin(), _heap.end(), FiresAfter{});
+        // Copy out before running: the callback may schedule, which can
+        // reallocate the heap under a reference.
+        Event e = _heap.back();
+        _heap.pop_back();
+        _now = e.when;
+        ++_executed;
+        e.fn(e.capture);
         return true;
     }
 
@@ -160,9 +152,9 @@ class EventQueue
     void
     runUntil(Tick limit)
     {
-        Next n;
-        while (!_stopRequested && peekNext(n) && n.when <= limit)
-            execute(n);
+        while (!_stopRequested && !_heap.empty() &&
+               _heap.front().when <= limit)
+            step();
         if (_now < limit && empty())
             _now = limit;
     }
@@ -182,36 +174,19 @@ class EventQueue
     }
 
   private:
-    static constexpr Tick kRingMask = kRingTicks - 1;
-    static constexpr std::uint32_t kWords =
-        static_cast<std::uint32_t>(kRingTicks / 64);
-    static constexpr std::uint32_t kSumWords = kWords / 64;
-
-    /** Intrusive FIFO node; indices into _nodes are stored +1, 0=nil. */
-    struct Node
-    {
-        Callback cb;
-        std::uint32_t next = 0;
-    };
-
-    struct Bucket
-    {
-        std::uint32_t head = 0;
-        std::uint32_t tail = 0;
-    };
-
-    struct FarEntry
+    struct Event
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        void (*fn)(void *capture);
+        alignas(std::uint64_t) unsigned char capture[kCaptureBytes];
     };
 
-    /** Heap comparator: "fires after" — makes push/pop_heap a min-heap. */
-    struct FarAfter
+    /** Heap comparator: "fires after" makes push/pop_heap a min-heap. */
+    struct FiresAfter
     {
         bool
-        operator()(const FarEntry &a, const FarEntry &b) const
+        operator()(const Event &a, const Event &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -219,160 +194,7 @@ class EventQueue
         }
     };
 
-    /** The next event to execute: either a ring bucket or the far heap. */
-    struct Next
-    {
-        Tick when;
-        std::uint32_t idx;
-        bool fromFar;
-    };
-
-    std::uint32_t
-    acquireNode(Callback &&cb)
-    {
-        std::uint32_t n;
-        if (_freeHead) {
-            n = _freeHead;
-            _freeHead = _nodes[n - 1].next;
-        } else {
-            _nodes.emplace_back();
-            n = static_cast<std::uint32_t>(_nodes.size());
-        }
-        Node &node = _nodes[n - 1];
-        node.cb = std::move(cb);
-        node.next = 0;
-        return n;
-    }
-
-    void
-    releaseNode(std::uint32_t n)
-    {
-        _nodes[n - 1].next = _freeHead;
-        _freeHead = n;
-    }
-
-    void
-    setOcc(std::uint32_t idx)
-    {
-        const std::uint32_t w = idx >> 6;
-        _occ[w] |= std::uint64_t(1) << (idx & 63);
-        _occSum[w >> 6] |= std::uint64_t(1) << (w & 63);
-    }
-
-    void
-    clearOcc(std::uint32_t idx)
-    {
-        const std::uint32_t w = idx >> 6;
-        if ((_occ[w] &= ~(std::uint64_t(1) << (idx & 63))) == 0)
-            _occSum[w >> 6] &= ~(std::uint64_t(1) << (w & 63));
-    }
-
-    /**
-     * Index of the first occupied bucket at or after _now, scanning the
-     * window circularly. Every ring event's tick is in
-     * [_now, _now + kRingTicks), so circular distance from the start
-     * slot equals tick order. Precondition: _ringCount > 0.
-     */
-    std::uint32_t
-    findNextIdx() const
-    {
-        const std::uint32_t start =
-            static_cast<std::uint32_t>(_now & kRingMask);
-        const std::uint32_t w0 = start >> 6;
-        const std::uint32_t b0 = start & 63;
-        if (const std::uint64_t m = _occ[w0] & (~std::uint64_t(0) << b0))
-            return (w0 << 6) |
-                   static_cast<std::uint32_t>(std::countr_zero(m));
-        // Word w0's high bits were empty; walk the summary bitmap over
-        // the remaining words in circular order. Iteration 0 covers
-        // words strictly after w0 within its summary word, iterations
-        // 1..kSumWords-1 whole summary words, and iteration kSumWords
-        // wraps back to words up to and including w0 (whose low bits
-        // are the far end of the window).
-        const std::uint32_t sw0 = w0 >> 6;
-        const std::uint32_t sb0 = w0 & 63;
-        for (std::uint32_t i = 0; i <= kSumWords; ++i) {
-            const std::uint32_t sw = (sw0 + i) & (kSumWords - 1);
-            std::uint64_t sm = _occSum[sw];
-            if (i == 0)
-                sm &= sb0 == 63 ? 0 : ~std::uint64_t(0) << (sb0 + 1);
-            else if (i == kSumWords)
-                sm &= sb0 == 63 ? ~std::uint64_t(0)
-                                : ~(~std::uint64_t(0) << (sb0 + 1));
-            if (!sm)
-                continue;
-            const std::uint32_t w =
-                (sw << 6) |
-                static_cast<std::uint32_t>(std::countr_zero(sm));
-            std::uint64_t m = _occ[w];
-            if (w == w0)
-                m &= ~(~std::uint64_t(0) << b0);
-            return (w << 6) |
-                   static_cast<std::uint32_t>(std::countr_zero(m));
-        }
-        __builtin_unreachable();
-    }
-
-    /** Locate the next event without popping it. */
-    bool
-    peekNext(Next &n) const
-    {
-        if (_ringCount) {
-            const std::uint32_t idx = findNextIdx();
-            const std::uint32_t start =
-                static_cast<std::uint32_t>(_now & kRingMask);
-            const Tick when = _now + ((idx - start) & kRingMask);
-            // On a tick tie the far heap goes first: its entries were
-            // scheduled while the tick was still beyond the window,
-            // i.e. before every ring entry at the same tick.
-            if (!_far.empty() && _far.front().when <= when) {
-                n = Next{_far.front().when, 0, true};
-            } else {
-                n = Next{when, idx, false};
-            }
-            return true;
-        }
-        if (!_far.empty()) {
-            n = Next{_far.front().when, 0, true};
-            return true;
-        }
-        return false;
-    }
-
-    /** Pop and run the event located by peekNext(). */
-    void
-    execute(const Next &n)
-    {
-        Callback cb;
-        if (n.fromFar) {
-            std::pop_heap(_far.begin(), _far.end(), FarAfter{});
-            cb = std::move(_far.back().cb);
-            _far.pop_back();
-        } else {
-            Bucket &b = _buckets[n.idx];
-            const std::uint32_t node = b.head;
-            Node &nd = _nodes[node - 1];
-            b.head = nd.next;
-            if (!b.head) {
-                b.tail = 0;
-                clearOcc(n.idx);
-            }
-            cb = std::move(nd.cb);
-            releaseNode(node);
-            --_ringCount;
-        }
-        _now = n.when;
-        ++_executed;
-        cb();
-    }
-
-    std::vector<Bucket> _buckets;
-    std::vector<Node> _nodes;
-    std::vector<std::uint64_t> _occ;
-    std::vector<std::uint64_t> _occSum;
-    std::vector<FarEntry> _far;
-    std::uint32_t _freeHead = 0;
-    std::size_t _ringCount = 0;
+    std::vector<Event> _heap;
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;

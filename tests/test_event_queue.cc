@@ -141,11 +141,12 @@ TEST(EventQueue, StopRequestHaltsRunUntilAndRunWhile)
 
 TEST(EventQueue, OrderSurvivesBucketRingWraparound)
 {
-    // Advance close to the end of the first ring window, then schedule
-    // events whose bucket indices wrap past slot 0. Circular distance
-    // from "now", not the raw index, must decide execution order.
+    // Advance close to a power-of-two horizon, then schedule events on
+    // both sides of it. Tick order, not the tick's low bits, must
+    // decide execution order.
+    constexpr Tick kHorizon = Tick(1) << 18;
     EventQueue eq;
-    const Tick base = EventQueue::kRingTicks - 10;
+    const Tick base = kHorizon - 10;
     eq.schedule(base, [] {});
     eq.run();
     ASSERT_EQ(eq.now(), base);
@@ -162,16 +163,16 @@ TEST(EventQueue, OrderSurvivesBucketRingWraparound)
 
 TEST(EventQueue, FarFutureEventsKeepSchedulingOrderOnTickTies)
 {
-    // An event beyond the ring window overflows to the far heap. When
-    // time advances to within the window and a second event lands in
-    // the ring at the *same* tick, the far event was scheduled first
-    // and must still run first.
+    // An event is scheduled far ahead. When time advances close to it
+    // and a second event is scheduled for the *same* tick, the far
+    // event was scheduled first and must still run first.
+    constexpr Tick kHorizon = Tick(1) << 18;
     EventQueue eq;
-    const Tick far_tick = EventQueue::kRingTicks + 100;
+    const Tick far_tick = kHorizon + 100;
     std::vector<int> order;
-    eq.scheduleAt(far_tick, [&] { order.push_back(1); }); // -> far heap
+    eq.scheduleAt(far_tick, [&] { order.push_back(1); });
     eq.scheduleAt(far_tick - 50, [&] {
-        // Now within the window: same tick lands in the ring.
+        // Same tick, scheduled later.
         eq.scheduleAt(far_tick, [&] { order.push_back(2); });
     });
     eq.run();
@@ -181,15 +182,16 @@ TEST(EventQueue, FarFutureEventsKeepSchedulingOrderOnTickTies)
 
 TEST(EventQueue, FarFutureChainsDrainInTickOrder)
 {
-    // Multiple horizon overflows at distinct ticks interleave correctly
-    // with ring events as the window slides forward.
+    // Several far-ahead events at distinct ticks interleave correctly
+    // with a near one.
+    constexpr Tick kHorizon = Tick(1) << 18;
     EventQueue eq;
     std::vector<int> order;
-    eq.scheduleAt(3 * EventQueue::kRingTicks, [&] { order.push_back(4); });
-    eq.scheduleAt(EventQueue::kRingTicks + 1,
+    eq.scheduleAt(3 * kHorizon, [&] { order.push_back(4); });
+    eq.scheduleAt(kHorizon + 1,
                   [&] { order.push_back(2); });
     eq.scheduleAt(7, [&] { order.push_back(1); });
-    eq.scheduleAt(2 * EventQueue::kRingTicks,
+    eq.scheduleAt(2 * kHorizon,
                   [&] { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
@@ -198,9 +200,10 @@ TEST(EventQueue, FarFutureChainsDrainInTickOrder)
 TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap)
 {
     // Drive >10^6 mixed schedule/step operations and check every pop
-    // against a reference (tick, seq) binary heap. Delays mix heavy
-    // same-tick ties, in-window values, ring-boundary values and far
-    // multiples of the window.
+    // against a reference (tick, seq) priority queue. Delays mix heavy
+    // same-tick ties, values below a 2^18-tick horizon, values around
+    // it and far multiples of it.
+    constexpr Tick kHorizon = Tick(1) << 18;
     EventQueue eq;
 
     struct Ref
@@ -249,15 +252,15 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap)
               case 4:
               case 5:
               case 6:
-                delay = rnd() % (EventQueue::kRingTicks - 1);
+                delay = rnd() % (kHorizon - 1);
                 break;
               case 7:
               case 8:
-                delay = EventQueue::kRingTicks - 2 + rnd() % 4;
+                delay = kHorizon - 2 + rnd() % 4;
                 break;
               default:
                 delay = static_cast<Tick>(1 + rnd() % 4) *
-                            EventQueue::kRingTicks +
+                            kHorizon +
                         rnd() % 1000;
                 break;
             }
@@ -278,6 +281,34 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap)
     }
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.executed(), kSchedules);
+}
+
+/** Written by the full-size capture test's callback (not captured). */
+std::uint64_t g_captured[4];
+
+TEST(EventQueue, FullSizeCaptureReachesCallbackIntact)
+{
+    // A capture of exactly kCaptureBytes (four uint64_t) is stored
+    // inline and must reach its callback byte for byte, also after
+    // heap reordering moves the event around.
+    EventQueue eq;
+    const std::uint64_t a = 0x0123456789abcdefull, b = ~a,
+                        c = 0xfeedfacecafebeefull, d = a ^ c;
+    auto cb = [a, b, c, d] {
+        g_captured[0] = a;
+        g_captured[1] = b;
+        g_captured[2] = c;
+        g_captured[3] = d;
+    };
+    static_assert(sizeof(cb) == EventQueue::kCaptureBytes);
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(100 - i, [] {});
+    eq.schedule(50, cb);
+    eq.run();
+    EXPECT_EQ(g_captured[0], a);
+    EXPECT_EQ(g_captured[1], b);
+    EXPECT_EQ(g_captured[2], c);
+    EXPECT_EQ(g_captured[3], d);
 }
 
 } // namespace

@@ -377,6 +377,26 @@ TEST(Policies, PolicySpecValidationRejectsBadKnobs)
     EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries", &d, &err));
     EXPECT_NE(err.find("malformed policy knob"), std::string::npos)
         << err;
+    // Fixed reads HtmPolicy's own retry/backoff knobs, so spec knobs on
+    // it would be silently ignored.
+    EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries=3", &d, &err));
+    EXPECT_NE(err.find("policy 'fixed' takes no knobs"), std::string::npos)
+        << err;
+    EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries=0,base=1,max=1",
+                                         &d, &err));
+    EXPECT_NE(err.find("policy 'fixed' takes no knobs"), std::string::npos)
+        << err;
+    // Retry counts are whole numbers that fit an int: no truncation, no
+    // overflowing conversion.
+    for (const char *spec : {"karma:retries=2.5", "karma:retries=1e12",
+                             "hytm:retries=2147483648",
+                             "bounded-retry:retries=-1e12"}) {
+        EXPECT_FALSE(PolicyDescriptor::parse(spec, &d, &err)) << spec;
+        EXPECT_NE(err.find("policy knob 'retries': expected a whole "
+                           "number in [0, 2147483647]"),
+                  std::string::npos)
+            << spec << ": " << err;
+    }
     // A failed parse must leave the output untouched.
     EXPECT_EQ(d.kind, ConflictPolicyKind::Fixed);
     // And the good specs round-trip.
@@ -384,6 +404,10 @@ TEST(Policies, PolicySpecValidationRejectsBadKnobs)
                                         &d, &err))
         << err;
     EXPECT_EQ(d.spec(), "karma:retries=8,base=200,max=50000");
+    ASSERT_TRUE(PolicyDescriptor::parse("karma:retries=2147483647", &d,
+                                        &err))
+        << err;
+    EXPECT_EQ(d.retryBudget, 2147483647);
 }
 
 TEST(Policies, BenchAndMetricsBytesAreScheduleInvariant)
