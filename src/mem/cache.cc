@@ -8,8 +8,9 @@ namespace uhtm
 Cache::Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
              bool tx_aware_replacement)
     : _name(std::move(name)), _ways(ways), _txAware(tx_aware_replacement),
-      _numSets(setsFor(size_bytes, ways)), _lines(_numSets * _ways),
-      _tags(_numSets * _ways, kInvalidTag)
+      _numSets(setsFor("cache '" + _name + "'", size_bytes, ways)),
+      _lines(_numSets * _ways), _tags(_numSets * _ways, kInvalidTag),
+      _order(_numSets, kLruIdentity)
 {
 }
 
@@ -20,34 +21,36 @@ Cache::~Cache()
             _lines.destroy(i);
 }
 
-std::uint64_t
-Cache::setIndex(Addr line_base) const
+unsigned
+Cache::wayOf(std::uint64_t set, Addr line_base) const
 {
-    return lineNumber(line_base) & (_numSets - 1);
+    const Addr *tags = &_tags[set * _ways];
+    unsigned w = 0;
+    while (w < _ways && tags[w] != line_base)
+        ++w;
+    return w;
 }
 
 CacheLine *
 Cache::lookup(Addr line_base)
 {
-    CacheLine *line = peek(line_base);
-    if (line) {
-        ++_stats.hits;
-        touch(*line);
-    } else {
+    const std::uint64_t set = setIndex(line_base);
+    const unsigned w = wayOf(set, line_base);
+    if (w == _ways) {
         ++_stats.misses;
+        return nullptr;
     }
-    return line;
+    ++_stats.hits;
+    touchWay(set, w);
+    return &_lines[set * _ways + w];
 }
 
 CacheLine *
 Cache::peek(Addr line_base)
 {
-    const std::uint64_t base = setIndex(line_base) * _ways;
-    const Addr *tags = &_tags[base];
-    for (unsigned w = 0; w < _ways; ++w)
-        if (tags[w] == line_base)
-            return &_lines[base + w];
-    return nullptr;
+    const std::uint64_t set = setIndex(line_base);
+    const unsigned w = wayOf(set, line_base);
+    return w == _ways ? nullptr : &_lines[set * _ways + w];
 }
 
 const CacheLine *
@@ -70,39 +73,36 @@ CacheLine *
 Cache::victimFor(Addr line_base, bool &had_victim)
 {
     assert(!peek(line_base) && "line must not already be present");
-    const std::uint64_t base = setIndex(line_base) * _ways;
+    const std::uint64_t set = setIndex(line_base);
+    const std::uint64_t base = set * _ways;
     const Addr *tags = &_tags[base];
-    CacheLine *set = &_lines[base];
+    CacheLine *lines = &_lines[base];
 
-    // Single pass; candidate preferences and way-order tie-breaks match
-    // the original three-pass selection exactly (first invalid way,
-    // else tx-aware LRU among non-transactional lines, else plain LRU,
-    // strict < keeping the earliest way on equal timestamps).
-    CacheLine *victim = nullptr;
-    CacheLine *nonTxLru = nullptr;
-    CacheLine *lru = nullptr;
+    // The first free way; else, tx-aware, the least recently used line
+    // without the Tx-bit; else the least recently used line.
     for (unsigned w = 0; w < _ways; ++w) {
         if (tags[w] == kInvalidTag) {
-            victim = &set[w];
-            break;
+            had_victim = false;
+            return &lines[w];
         }
-        CacheLine &cl = set[w];
-        if (_txAware && !cl.txBit() &&
-            (!nonTxLru || cl.lru < nonTxLru->lru)) {
-            nonTxLru = &cl;
+    }
+    const std::uint64_t order = _order[set];
+    CacheLine *victim = &lines[lruWayAt(order, _ways - 1)];
+    if (_txAware) {
+        for (unsigned r = _ways; r-- > 0;) {
+            CacheLine &cl = lines[lruWayAt(order, r)];
+            if (!cl.txBit()) {
+                victim = &cl;
+                break;
+            }
         }
-        if (!lru || cl.lru < lru->lru)
-            lru = &cl;
     }
-    had_victim = !victim;
-    if (had_victim) {
-        victim = _txAware && nonTxLru ? nonTxLru : lru;
-        ++_stats.evictions;
-        if (victim->txBit())
-            ++_stats.txEvictions;
-        if (MemLayout::kindOf(victim->tag) == MemKind::Nvm)
-            ++_stats.evictionsNvm;
-    }
+    had_victim = true;
+    ++_stats.evictions;
+    if (victim->txBit())
+        ++_stats.txEvictions;
+    if (MemLayout::kindOf(victim->tag) == MemKind::Nvm)
+        ++_stats.evictionsNvm;
     return victim;
 }
 

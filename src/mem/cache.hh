@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/layout.hh"
+#include "mem/lru_order.hh"
 #include "sim/reuse_alloc.hh"
 #include "sim/small_vec.hh"
 #include "sim/types.hh"
@@ -26,15 +27,16 @@
 namespace uhtm
 {
 
-/** Metadata of one cache line. Directory fields are used by the LLC. */
-struct CacheLine
+/**
+ * Metadata of one cache line. Directory fields are used by the LLC.
+ *
+ * Exactly one aligned host cache line, so the LLC's victim costs one
+ * host miss and BurstOp can prefetch it with one prefetch.
+ */
+struct alignas(64) CacheLine
 {
     /** Line base address. */
     Addr tag = 0;
-    bool dirty = false;
-
-    /** L1 only: the copy has write permission (MESI E/M). */
-    bool exclusive = false;
 
     /**
      * Transaction that speculatively wrote this line (kNoTx if none).
@@ -52,14 +54,16 @@ struct CacheLine
      */
     SmallVec<TxId, 2> txReaders;
 
-    /** LRU timestamp (larger = more recently used). */
-    std::uint64_t lru = 0;
-
     /** Directory: bitmask of cores holding an L1 copy. */
     std::uint64_t sharers = 0;
 
     /** Directory: core whose L1 holds the line modified (exclusive). */
     CoreId ownerCore = kNoCore;
+
+    bool dirty = false;
+
+    /** L1 only: the copy has write permission (MESI E/M). */
+    bool exclusive = false;
 
     /** Paper's Tx-bit: set when any transactional metadata is present. */
     bool
@@ -107,9 +111,14 @@ struct CacheLine
         txReaders.clear();
     }
 };
+static_assert(sizeof(CacheLine) == 64, "a CacheLine fills one host line");
 
 /**
  * A set-associative tag array with LRU replacement.
+ *
+ * Each set's recency order is one word of _order (mem/lru_order.hh),
+ * so the LRU way is known without reading the set's lines, and
+ * prefetchVictim() can fetch it ahead of the access that evicts it.
  *
  * The tag array is the only record of which slots hold a line. Line
  * storage is raw and recycled (sim/reuse_alloc.hh): a slot is
@@ -140,8 +149,9 @@ class Cache
     /**
      * @param name for reports.
      * @param size_bytes total capacity.
-     * @param ways associativity.
+     * @param ways associativity, 1 to kLruMaxWays.
      * @param tx_aware_replacement prefer non-transactional victims.
+     * @throws std::invalid_argument on a bad geometry.
      */
     Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
           bool tx_aware_replacement = false);
@@ -181,7 +191,32 @@ class Cache
     void install(CacheLine *slot, Addr line_base);
 
     /** Mark @p line most recently used. */
-    void touch(CacheLine &line) { line.lru = ++_lruClock; }
+    void
+    touch(const CacheLine &line)
+    {
+        const std::uint64_t set = setIndex(line.tag);
+        touchWay(set, static_cast<unsigned>(slotOf(line) - set * _ways));
+    }
+
+    /**
+     * Prefetch into the host cache what allocating @p line_base would
+     * read: the set's tags and the line at the set's LRU end (the
+     * victim unless a way is free or, tx-aware, the LRU line is
+     * transactional). Changes no simulated state.
+     *
+     * Always inlined: GCC counts a prefetch as no side effect, so it
+     * would treat an out-of-line call as pure and delete it.
+     */
+    [[gnu::always_inline]] void
+    prefetchVictim(Addr line_base) const
+    {
+        const std::uint64_t set = setIndex(line_base);
+        const Addr *tags = &_tags[set * _ways];
+        for (unsigned w = 0; w < _ways; w += kLineBytes / sizeof(Addr))
+            __builtin_prefetch(tags + w);
+        __builtin_prefetch(
+            &_lines[set * _ways + lruWayAt(_order[set], _ways - 1)]);
+    }
 
     /** Invalidate @p line_base if present. */
     void invalidate(Addr line_base);
@@ -243,10 +278,25 @@ class Cache
     /** _tags sentinel; never a line-aligned address. */
     static constexpr Addr kInvalidTag = ~Addr(0);
 
-    std::uint64_t setIndex(Addr line_base) const;
+    std::uint64_t
+    setIndex(Addr line_base) const
+    {
+        return lineNumber(line_base) & (_numSets - 1);
+    }
     std::size_t slotOf(const CacheLine &line) const
     {
         return static_cast<std::size_t>(&line - _lines.data());
+    }
+    /** Way of @p set holding @p line_base, or _ways if none. */
+    unsigned wayOf(std::uint64_t set, Addr line_base) const;
+    void
+    touchWay(std::uint64_t set, unsigned way)
+    {
+        // Repeated hits to one line find it at rank 0 already; skip
+        // the store then.
+        const std::uint64_t order = _order[set];
+        if (lruWayAt(order, 0) != way)
+            _order[set] = lruTouch(order, way);
     }
 
     std::string _name;
@@ -261,7 +311,8 @@ class Cache
      * instead of whole CacheLines.
      */
     ReuseArray<Addr> _tags;
-    std::uint64_t _lruClock = 0;
+    /** Recency order of each set, one word per set (mem/lru_order.hh). */
+    ReuseArray<std::uint64_t> _order;
     Stats _stats;
 };
 

@@ -9,8 +9,9 @@ namespace uhtm
 {
 
 DramCache::DramCache(std::uint64_t size_bytes, unsigned ways)
-    : _ways(ways), _numSets(setsFor(size_bytes, ways)),
-      _entries(_numSets * _ways), _tags(_numSets * _ways, kInvalidTag)
+    : _ways(ways), _numSets(setsFor("DRAM cache", size_bytes, ways)),
+      _entries(_numSets * _ways), _tags(_numSets * _ways, kInvalidTag),
+      _order(_numSets, kLruIdentity)
 {
 }
 
@@ -20,13 +21,21 @@ DramCache::setIndex(Addr line_base) const
     return lineNumber(line_base) & (_numSets - 1);
 }
 
+void
+DramCache::touch(const DramCacheEntry &e)
+{
+    const std::uint64_t set = setIndex(e.tag);
+    const auto way = static_cast<unsigned>(&e - &_entries[set * _ways]);
+    _order[set] = lruTouch(_order[set], way);
+}
+
 DramCacheEntry *
 DramCache::lookup(Addr line_base)
 {
     DramCacheEntry *e = peek(line_base);
     if (e && !e->invalidated) {
         ++_stats.hits;
-        e->lru = ++_lruClock;
+        touch(*e);
         return e;
     }
     ++_stats.misses;
@@ -99,45 +108,43 @@ DramCache::insert(Addr line_base, TxId tx)
         }
         e->tx = tx;
         e->invalidated = false;
-        e->lru = ++_lruClock;
+        touch(*e);
         return e;
     }
 
-    const std::uint64_t base = setIndex(line_base) * _ways;
+    const std::uint64_t set = setIndex(line_base);
+    const std::uint64_t base = set * _ways;
     const Addr *tags = &_tags[base];
-    DramCacheEntry *set = &_entries[base];
+    DramCacheEntry *entries = &_entries[base];
     std::size_t slot = _ways;
     for (unsigned w = 0; w < _ways && slot == _ways; ++w)
         if (tags[w] == kInvalidTag)
             slot = w;
     if (slot == _ways) {
-        // Prefer invalidated, then committed-clean, then LRU overall.
-        DramCacheEntry *victim = nullptr;
-        for (unsigned w = 0; w < _ways && !victim; ++w)
-            if (set[w].invalidated)
-                victim = &set[w];
-        if (!victim) {
-            for (unsigned w = 0; w < _ways; ++w) {
-                if (set[w].tx != kNoTx)
-                    continue;
-                if (!victim || set[w].lru < victim->lru)
-                    victim = &set[w];
+        // Prefer the first invalidated entry in way order, then the
+        // least recently used entry no transaction owns (tx == kNoTx),
+        // then the least recently used entry.
+        for (unsigned w = 0; w < _ways && slot == _ways; ++w)
+            if (entries[w].invalidated)
+                slot = w;
+        if (slot == _ways) {
+            const std::uint64_t order = _order[set];
+            slot = lruWayAt(order, _ways - 1);
+            for (unsigned r = _ways; r-- > 0;) {
+                const unsigned w = lruWayAt(order, r);
+                if (entries[w].tx == kNoTx) {
+                    slot = w;
+                    break;
+                }
             }
         }
-        if (!victim) {
-            victim = &set[0];
-            for (unsigned w = 1; w < _ways; ++w)
-                if (set[w].lru < victim->lru)
-                    victim = &set[w];
-        }
-        slot = static_cast<std::size_t>(victim - set);
-        evict(*victim);
+        evict(entries[slot]);
     }
 
     DramCacheEntry &e = _entries.construct(base + slot);
     e.tag = line_base;
     e.tx = tx;
-    e.lru = ++_lruClock;
+    touch(e);
     _tags[base + slot] = line_base;
     return &e;
 }

@@ -25,6 +25,7 @@
 #include <type_traits>
 
 #include "check/persist_probe.hh"
+#include "mem/lru_order.hh"
 #include "sim/function_ref.hh"
 #include "sim/reuse_alloc.hh"
 #include "sim/types.hh"
@@ -44,7 +45,6 @@ struct DramCacheEntry
     bool invalidated = false;
     /** Committed line bytes (valid when dirty and tx == kNoTx). */
     std::array<std::uint8_t, kLineBytes> data{};
-    std::uint64_t lru = 0;
 };
 static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
 
@@ -54,7 +54,8 @@ static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
  * As in Cache, the tag array is the only record of which slots hold an
  * entry: entry storage is raw and recycled (sim/reuse_alloc.hh), an
  * entry is constructed by insert() and destroyed when it is evicted,
- * so building the cache writes only its tags.
+ * so building the cache writes only its tags and its per-set recency
+ * words (mem/lru_order.hh).
  *
  * The owner wires up @c writeBack, called when a committed dirty entry
  * is evicted and its bytes must be written to in-place NVM (durable
@@ -84,6 +85,8 @@ class DramCache
         FunctionRef<void(Addr line_base,
                          const std::array<std::uint8_t, kLineBytes> &)>;
 
+    /** @throws std::invalid_argument on a bad geometry (ways outside
+     *          [1, kLruMaxWays], or less than one set). */
     DramCache(std::uint64_t size_bytes, unsigned ways);
 
     /** Install the in-place write-back hook (non-owning). */
@@ -146,6 +149,8 @@ class DramCache
     static constexpr Addr kInvalidTag = ~Addr(0);
 
     std::uint64_t setIndex(Addr line_base) const;
+    /** Mark the live entry @p e most recently used. */
+    void touch(const DramCacheEntry &e);
     void evict(DramCacheEntry &victim);
 
     unsigned _ways;
@@ -155,10 +160,11 @@ class DramCache
     ReuseArray<DramCacheEntry> _entries;
     /** Tag of each slot, kInvalidTag when free: the validity record,
      *  and what a set probe scans, a few contiguous words instead of
-     *  104-byte entries (matters at 64 MiB capacity where probed sets
+     *  96-byte entries (matters at 64 MiB capacity where probed sets
      *  are cold in the host cache). */
     ReuseArray<Addr> _tags;
-    std::uint64_t _lruClock = 0;
+    /** Recency order of each set, one word per set. */
+    ReuseArray<std::uint64_t> _order;
     WriteBackFn _writeBack;
     EvictHookFn _evictHook;
     PersistProbe *_probe = nullptr;

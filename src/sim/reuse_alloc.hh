@@ -3,21 +3,28 @@
  * Per-thread recycled storage for a job's large machine arrays.
  *
  * Every simulation job builds a fresh machine: the default geometry's
- * LLC and DRAM-cache arrays plus their tag arrays are ~134 MiB. glibc
- * serves blocks that large with mmap and returns them with munmap, so
- * each job used to fault in and zero ~27 K fresh pages before it
- * simulated anything. reuseDeallocate parks a freed block of at least
- * kReuseMinBytes on a thread-local list instead, keyed by exact byte
- * size, and the next reuseAllocate of that size on the same thread
- * takes it back with its pages already mapped.
+ * LLC line and DRAM-cache entry arrays plus their tag arrays are
+ * ~122 MiB (16 MiB of 64-byte CacheLines, 96 MiB of 96-byte entries,
+ * 10 MiB of tags). glibc serves blocks that large with mmap and returns
+ * them with munmap, so each job used to fault in and zero ~27 K fresh
+ * pages before it simulated anything. reuseDeallocate parks a freed
+ * block of at least kReuseMinBytes on a thread-local list instead,
+ * keyed by exact byte size, and the next reuseAllocate of that size on
+ * the same thread takes it back with its pages already mapped.
  *
  * ReuseArray<T> is the one owner of such blocks: a fixed-size array of
  * raw, uninitialized T. It never constructs or destroys an element on
  * its own; its owner (Cache, DramCache) constructs a slot when a line
  * is installed and destroys it when the line leaves, and keeps its own
  * record of which slots are alive (the caches' tag arrays). So building
- * a machine writes only its tag arrays, not the 124 MiB of line and
+ * a machine writes only its tag arrays, not the 112 MiB of line and
  * entry storage behind them.
+ *
+ * Every block is kReuseAlign (64-byte) aligned, one host cache line,
+ * so a CacheLine fills exactly one host line and a 16-way set of tags
+ * exactly two. glibc's own alignment for large blocks (16 bytes past a
+ * page boundary) would split every line over two host lines and every
+ * tag set over three.
  *
  * Rules:
  *  - A thread parks at most one block per size and at most kReuseSlots
@@ -54,6 +61,9 @@
 
 namespace uhtm
 {
+
+/** Alignment of every reuseAllocate block: one host cache line. */
+inline constexpr std::size_t kReuseAlign = 64;
 
 /** Smallest block that is parked for reuse instead of freed. */
 inline constexpr std::size_t kReuseMinBytes = std::size_t{1} << 20;
@@ -134,7 +144,7 @@ class ReuseList
     {
         UHTM_ASAN_UNPOISON(s.p, s.bytes);
         g_reuseParkedBytes -= s.bytes;
-        ::operator delete(s.p, s.bytes);
+        ::operator delete(s.p, s.bytes, std::align_val_t{kReuseAlign});
         s = Slot{};
     }
 
@@ -145,7 +155,10 @@ inline thread_local ReuseList t_reuseList;
 
 } // namespace detail
 
-/** Allocate @p bytes, taking a parked block of that size if any. */
+/**
+ * Allocate @p bytes aligned to kReuseAlign, taking a parked block of
+ * that size if any.
+ */
 inline void *
 reuseAllocate(std::size_t bytes)
 {
@@ -153,16 +166,19 @@ reuseAllocate(std::size_t bytes)
         if (void *p = detail::t_reuseList.take(bytes))
             return p;
     }
-    return ::operator new(bytes);
+    return ::operator new(bytes, std::align_val_t{kReuseAlign});
 }
 
-/** Free @p p (@p bytes long), parking it for reuse when it qualifies. */
+/**
+ * Free @p p (@p bytes long, from reuseAllocate), parking it for reuse
+ * when it qualifies.
+ */
 inline void
 reuseDeallocate(void *p, std::size_t bytes) noexcept
 {
     if (bytes >= kReuseMinBytes && detail::t_reuseList.park(p, bytes))
         return;
-    ::operator delete(p, bytes);
+    ::operator delete(p, bytes, std::align_val_t{kReuseAlign});
 }
 
 /** Bytes currently parked for reuse, summed over all threads. */
@@ -183,7 +199,7 @@ reuseParkedBytes()
 template <typename T>
 class ReuseArray
 {
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    static_assert(alignof(T) <= kReuseAlign);
 
   public:
     /** @p n unconstructed slots (poisoned under ASan). */

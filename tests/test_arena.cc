@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -300,6 +301,40 @@ TEST(ReuseAlloc, BlocksParkedInAThreadAreReleasedAtExit)
         << "thread exit must release what it parked";
 }
 
+TEST(ReuseArray, FreshAndRecycledBlocksAreCacheLineAligned)
+{
+    onFreshThread([] {
+        auto aligned = [](const void *p) {
+            return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+        };
+        static_assert(alignof(CacheLine) == 64);
+        const std::size_t lines = kReuseMinBytes / sizeof(CacheLine);
+        // Two sizes, as one size parks only one block.
+        const std::size_t tags = 2 * kReuseMinBytes / sizeof(Addr);
+        const void *freshLines = nullptr;
+        const void *freshTags = nullptr;
+        {
+            ReuseArray<CacheLine> l(lines);
+            ReuseArray<Addr> t(tags, 0);
+            EXPECT_TRUE(aligned(l.data()));
+            EXPECT_TRUE(aligned(t.data()));
+            freshLines = l.data();
+            freshTags = t.data();
+            // Blocks too small to park are aligned too.
+            ReuseArray<CacheLine> l1(1);
+            ReuseArray<Addr> t3(3, 0);
+            EXPECT_TRUE(aligned(l1.data()));
+            EXPECT_TRUE(aligned(t3.data()));
+        }
+        ReuseArray<CacheLine> l(lines);
+        ReuseArray<Addr> t(tags, 0);
+        ASSERT_EQ(l.data(), freshLines) << "the line block was recycled";
+        ASSERT_EQ(t.data(), freshTags) << "the tag block was recycled";
+        EXPECT_TRUE(aligned(l.data()));
+        EXPECT_TRUE(aligned(t.data()));
+    });
+}
+
 #ifdef UHTM_ASAN
 TEST(ReuseAlloc, ParkedBlocksArePoisonedUnderAsan)
 {
@@ -351,6 +386,25 @@ TEST(ReuseArray, FreeSlotsArePoisonedUnderAsan)
         DramCacheEntry *e = dc.insert(line, 1);
         EXPECT_TRUE(clear(e, sizeof(DramCacheEntry)));
         EXPECT_TRUE(poisoned(e + 1, sizeof(DramCacheEntry)));
+    });
+}
+
+TEST(ReuseArray, PrefetchingAPoisonedSlotDoesNotTrap)
+{
+    onFreshThread([] {
+        // The LRU way of an empty set is a free, poisoned slot;
+        // prefetchVictim touches it only with __builtin_prefetch.
+        Cache llc("LLC", kReuseMinBytes, 16);
+        const Addr line = MemLayout::kNvmBase;
+        bool had = true;
+        CacheLine *slot = llc.victimFor(line, had);
+        ASSERT_FALSE(had);
+        ASSERT_TRUE(__asan_address_is_poisoned(slot + 15));
+        llc.prefetchVictim(line);
+        llc.install(slot, line);
+        llc.prefetchVictim(line + llc.numSets() * kLineBytes);
+        EXPECT_TRUE(__asan_address_is_poisoned(slot + 15))
+            << "prefetching left the free slot poisoned";
     });
 }
 #endif

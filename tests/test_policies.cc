@@ -330,9 +330,10 @@ TEST(Policies, FallbackDrainOrdersRedoAppendsBeforeCommitMark)
     ASSERT_EQ(marks, 1u);
     ASSERT_EQ(redo, kLines);
     for (const PersistEvent &e : full.events) {
-        if (e.point == PersistPoint::RedoLogAppend)
+        if (e.point == PersistPoint::RedoLogAppend) {
             EXPECT_LE(e.completeAt, commit_mark_at)
                 << "redo record durable after the commit record";
+        }
     }
     for (unsigned i = 0; i < kLines; ++i)
         EXPECT_EQ(full.recovered[i], 200u + i);
