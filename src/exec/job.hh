@@ -6,7 +6,8 @@
  * HtmSystem, workloads) and returns the RunMetrics. Jobs are
  * independent by construction — nothing in the simulator is shared
  * between two Runner instances — which is what lets a sweep execute
- * them on a thread pool while staying bit-for-bit deterministic.
+ * them on several worker threads while staying bit-for-bit
+ * deterministic.
  */
 
 #ifndef UHTM_EXEC_JOB_HH

@@ -1,13 +1,25 @@
 #include "exec/scheduler.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <unordered_set>
 
 #include "sim/random.hh"
 
 namespace uhtm::exec
 {
+
+unsigned
+SweepScheduler::resolveThreadCount(unsigned requested)
+{
+    if (requested > 0)
+        return requested;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
+}
 
 std::uint64_t
 SweepScheduler::jobSeed(std::uint64_t sweepSeed, const std::string &key)
@@ -32,7 +44,7 @@ SweepScheduler::run(const std::vector<Job> &jobs)
             throw std::invalid_argument("duplicate job key: " + j.key);
 
     std::vector<JobResult> results(jobs.size());
-    _pool.runAll(jobs.size(), [&](std::size_t i) {
+    auto runOne = [&](std::size_t i) {
         const Job &job = jobs[i];
         JobResult &r = results[i];
         r.key = job.key;
@@ -51,7 +63,23 @@ SweepScheduler::run(const std::vector<Job> &jobs)
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
                 .count();
-    });
+    };
+
+    // One cursor: every worker claims the next job in submission order.
+    const std::size_t n = jobs.size();
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        std::size_t i;
+        while ((i = next.fetch_add(1)) < n)
+            runOne(i);
+    };
+    const std::size_t workers = std::min<std::size_t>(_threads, n);
+    std::vector<std::thread> threads;
+    for (std::size_t w = 1; w < workers; ++w)
+        threads.emplace_back(worker);
+    worker();
+    for (auto &t : threads)
+        t.join();
     return results;
 }
 

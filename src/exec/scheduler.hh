@@ -1,7 +1,13 @@
 /**
  * @file
- * SweepScheduler: runs a set of independent experiment jobs on the
- * work-stealing pool and returns their results in submission order.
+ * SweepScheduler: runs a set of independent experiment jobs on a few
+ * worker threads and returns their results in submission order.
+ *
+ * Scheduling contract: jobs are claimed in submission order. Workers
+ * share one atomic cursor into the job list; each takes the next
+ * unclaimed index, runs it to completion and claims again, until the
+ * list is exhausted. No job spawns jobs, so there is nothing to wait
+ * for once the cursor passes the end.
  *
  * Determinism contract: a job's seed is a pure function of the sweep
  * seed and the job key, results are collected positionally, and
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "exec/job.hh"
-#include "exec/thread_pool.hh"
 
 namespace uhtm::exec
 {
@@ -36,11 +41,12 @@ class SweepScheduler
 {
   public:
     explicit SweepScheduler(SweepOptions opts)
-        : _opts(opts), _pool(opts.jobs)
+        : _opts(opts), _threads(resolveThreadCount(opts.jobs))
     {
     }
 
-    unsigned threads() const { return _pool.threads(); }
+    /** Worker count: `jobs`, or one per hardware thread for 0. */
+    unsigned threads() const { return _threads; }
 
     /**
      * Seed for the job named @p key under @p sweepSeed: FNV-1a of the
@@ -55,14 +61,22 @@ class SweepScheduler
      * submission order. A throwing job yields ok=false with the
      * exception message; all other jobs still run.
      *
+     * Runs min(threads(), jobs.size()) workers: that many minus one
+     * new threads plus the calling thread. With one worker every job
+     * runs inline on the caller and no thread is started, which keeps
+     * `--jobs=1` sanitizer-quiet by construction.
+     *
      * @throws std::invalid_argument if two jobs share a key (keys name
      *         results and determine seeds, so duplicates are bugs).
      */
     std::vector<JobResult> run(const std::vector<Job> &jobs);
 
   private:
+    /** 0 means "one per hardware thread" (at least 1). */
+    static unsigned resolveThreadCount(unsigned requested);
+
     SweepOptions _opts;
-    WorkStealingPool _pool;
+    unsigned _threads;
 };
 
 } // namespace uhtm::exec

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "check/fault_injector.hh"
 #include "htm/htm_system.hh"
@@ -112,13 +111,8 @@ HtmSystem::issueCommit(CoreId core)
         const auto &pre = tx->preImage.at(line);
         std::array<std::uint8_t, kLineBytes> cur;
         _store.readLine(line, cur.data());
-        if (std::memcmp(pre.data(), cur.data(), kLineBytes) != 0) {
-            std::fprintf(stderr,
-                         "LOST-UPDATE: tx %llu commits line %llx whose "
-                         "architectural image changed mid-transaction\n",
-                         (unsigned long long)tx->id,
-                         (unsigned long long)line);
-        }
+        if (std::memcmp(pre.data(), cur.data(), kLineBytes) != 0)
+            ++_stats.lostUpdates;
         _store.writeLine(line, buf.data());
     }
     // Report the commit before the DRAM-cache fills below: their

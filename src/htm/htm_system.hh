@@ -92,6 +92,14 @@ struct HtmStats
     /** Individual bloom probes proven unnecessary by a summary miss. */
     std::uint64_t sigProbesAvoided = 0;
 
+    /**
+     * Commits of a line whose architectural image changed between the
+     * transaction's first write and its commit: an update the conflict
+     * detection let through. Always 0 on a correct protocol. Not
+     * serialized into the bench JSON or the metrics sidecar.
+     */
+    std::uint64_t lostUpdates = 0;
+
     std::uint64_t contextSwitches = 0;
     /** OS traps taken to expand a full log area (Section IV-E). */
     std::uint64_t logExpansions = 0;

@@ -22,8 +22,9 @@
  *    run() (frames destroyed in ~Runner, TxDescs in ~HtmSystem) free
  *    back into the still-alive arena.
  *  - Arenas are strictly single-threaded: each job runs wholly on one
- *    pool thread. No locks, no atomics; TSan stays quiet because the
- *    pool already synchronizes job hand-off.
+ *    worker thread. No locks, no atomics; TSan stays quiet because
+ *    each job's arena is created and destroyed on the thread that
+ *    claimed the job.
  *  - Oversized requests (> kMaxClassBytes) bypass the arena and go to
  *    the global heap (still headered, so deletion is uniform).
  *
@@ -113,12 +114,11 @@ class Arena
             _free[cls] = *static_cast<void **>(p);
             UHTM_ASAN_UNPOISON(p, n);
         } else {
-            if (_bumpLeft < n && !nextRecycledChunk()) {
+            if (_bumpLeft < n) {
                 void *c = ::operator new(
                     kChunkBytes,
                     std::align_val_t{alignof(std::max_align_t)});
                 _chunks.push_back(c);
-                _resetChunk = _chunks.size() - 1;
                 _bump = static_cast<std::byte *>(c);
                 _bumpLeft = kChunkBytes;
             }
@@ -127,8 +127,6 @@ class Arena
             _bumpLeft -= n;
         }
         _liveBytes += n;
-        if (_liveBytes > _highWaterBytes)
-            _highWaterBytes = _liveBytes;
         return p;
     }
 
@@ -145,54 +143,15 @@ class Arena
                          n - sizeof(void *));
     }
 
-    /**
-     * Drop all free lists and bump state, keeping the mapped chunks.
-     * Only valid when nothing allocated from the arena is still live;
-     * subsequent allocations reuse the same memory.
-     */
-    void
-    reset()
-    {
-        for (std::size_t c = 0; c < kNumClasses; ++c)
-            _free[c] = nullptr;
-        for (void *c : _chunks)
-            UHTM_ASAN_UNPOISON(c, kChunkBytes);
-        _bump = _chunks.empty() ? nullptr
-                                : static_cast<std::byte *>(_chunks.front());
-        _bumpLeft = _chunks.empty() ? 0 : kChunkBytes;
-        _resetChunk = 0;
-        _liveBytes = 0;
-    }
-
     /** Bytes handed out and not yet freed (pool classes only). */
     std::size_t liveBytes() const { return _liveBytes; }
 
-    /** Peak of liveBytes() over the arena's lifetime. */
-    std::size_t highWaterBytes() const { return _highWaterBytes; }
-
-    /** Total chunk bytes mapped from the heap. */
-    std::size_t mappedBytes() const { return _chunks.size() * kChunkBytes; }
-
   private:
-    /** After a reset(), reuse already-mapped chunks before mapping new. */
-    bool
-    nextRecycledChunk()
-    {
-        if (_resetChunk + 1 >= _chunks.size())
-            return false;
-        ++_resetChunk;
-        _bump = static_cast<std::byte *>(_chunks[_resetChunk]);
-        _bumpLeft = kChunkBytes;
-        return true;
-    }
-
     void *_free[kNumClasses] = {};
     std::vector<void *> _chunks;
     std::byte *_bump = nullptr;
     std::size_t _bumpLeft = 0;
-    std::size_t _resetChunk = 0;
     std::size_t _liveBytes = 0;
-    std::size_t _highWaterBytes = 0;
 };
 
 namespace detail

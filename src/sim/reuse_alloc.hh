@@ -35,7 +35,7 @@
  *  - The list is released when its thread exits.
  *  - Parking is keyed by the freeing thread, so a block freed on another
  *    thread than the one that allocated it is still correct; it just
- *    parks on the freeing thread. Jobs run wholly on one pool thread
+ *    parks on the freeing thread. Jobs run wholly on one worker thread
  *    (the rule `sim/arena.hh` relies on), so in practice it never is.
  *
  * Under ASan a parked block is poisoned and unpoisoned when it is

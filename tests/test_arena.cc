@@ -1,16 +1,15 @@
 /**
  * @file
- * Arena allocator unit tests: size classes, recycling, reset semantics,
- * the self-describing arenaNew/arenaDelete header and ArenaScope; and
- * the per-thread recycling of large machine arrays (reuseAllocate and
- * ReuseArray).
+ * Arena allocator unit tests: size classes, recycling, live-byte
+ * accounting, the self-describing arenaNew/arenaDelete header and
+ * ArenaScope; and the per-thread recycling of large machine arrays
+ * (reuseAllocate and ReuseArray).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -61,39 +60,14 @@ TEST(Arena, LiveAndHighWaterTrackClassBytes)
     void *p1 = a.allocate(cls);
     void *p2 = a.allocate(cls);
     EXPECT_EQ(a.liveBytes(), 2 * n);
-    EXPECT_EQ(a.highWaterBytes(), 2 * n);
     a.deallocate(p1, cls);
     EXPECT_EQ(a.liveBytes(), n);
-    EXPECT_EQ(a.highWaterBytes(), 2 * n);
-    void *p3 = a.allocate(cls); // recycles p1: high water unchanged
+    void *p3 = a.allocate(cls); // recycles p1
     EXPECT_EQ(p3, p1);
-    EXPECT_EQ(a.highWaterBytes(), 2 * n);
+    EXPECT_EQ(a.liveBytes(), 2 * n);
     a.deallocate(p2, cls);
     a.deallocate(p3, cls);
     EXPECT_EQ(a.liveBytes(), 0u);
-}
-
-TEST(Arena, ResetReusesMappedChunksWithoutRemapping)
-{
-    Arena a;
-    const std::size_t cls = Arena::classFor(Arena::kMaxClassBytes);
-    // Force several chunks to be mapped.
-    std::vector<void *> blocks;
-    while (a.mappedBytes() < 3 * Arena::kChunkBytes)
-        blocks.push_back(a.allocate(cls));
-    const std::size_t mapped = a.mappedBytes();
-    const std::set<void *> before(blocks.begin(), blocks.end());
-
-    a.reset();
-    EXPECT_EQ(a.liveBytes(), 0u);
-    EXPECT_EQ(a.mappedBytes(), mapped);
-
-    // Reallocating the same volume must be served from the same chunks.
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        void *p = a.allocate(cls);
-        EXPECT_TRUE(before.count(p)) << "allocation left mapped chunks";
-    }
-    EXPECT_EQ(a.mappedBytes(), mapped);
 }
 
 TEST(Arena, ArenaNewRoutesThroughCurrentScope)

@@ -104,8 +104,11 @@ TEST_P(GoldenFigure, TinyJsonMatchesCommittedGolden)
 
     exec::SweepScheduler sched({2, opts.seed});
     const auto results = sched.run(jobs);
-    for (const auto &r : results)
+    for (const auto &r : results) {
         ASSERT_TRUE(r.ok) << r.key << ": " << r.error;
+        EXPECT_EQ(r.metrics.htm.lostUpdates, 0u)
+            << r.key << ": a commit overwrote an update it never saw";
+    }
 
     const exec::ResultSink sink(
         fig->name, opts.seed,

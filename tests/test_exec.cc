@@ -1,17 +1,23 @@
 /**
  * @file
- * Experiment-execution subsystem tests: the work-stealing pool and
- * SweepScheduler run every job exactly once with key-derived seeds and
- * exception isolation, parallel and serial execution produce identical
- * metrics and byte-identical JSON, and the JSON writer / ResultSink
- * emit the exact uhtm-bench-v1 golden bytes for a known input.
+ * Experiment-execution subsystem tests: SweepScheduler claims jobs in
+ * submission order and runs every job exactly once with key-derived
+ * seeds and exception isolation, parallel and serial execution
+ * produce identical metrics and byte-identical JSON, and the JSON
+ * writer / ResultSink emit the exact uhtm-bench-v1 golden bytes for a known input.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
 #include <limits>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -19,41 +25,12 @@
 #include "exec/json.hh"
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
-#include "exec/thread_pool.hh"
 #include "harness/experiments.hh"
 
 namespace uhtm::exec
 {
 namespace
 {
-
-TEST(ThreadPool, ResolveThreadCount)
-{
-    EXPECT_EQ(resolveThreadCount(1), 1u);
-    EXPECT_EQ(resolveThreadCount(7), 7u);
-    EXPECT_GE(resolveThreadCount(0), 1u); // hardware concurrency
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
-{
-    constexpr std::size_t kN = 237;
-    WorkStealingPool pool(4);
-    std::vector<std::atomic<int>> hits(kN);
-    pool.runAll(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, SingleThreadRunsInline)
-{
-    WorkStealingPool pool(1);
-    EXPECT_EQ(pool.threads(), 1u);
-    const auto caller = std::this_thread::get_id();
-    std::vector<std::thread::id> ran(3);
-    pool.runAll(3, [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
-    for (const auto &id : ran)
-        EXPECT_EQ(id, caller);
-}
 
 Job
 countingJob(const std::string &key, std::atomic<int> &counter)
@@ -82,6 +59,87 @@ TEST(SweepScheduler, RunsEveryJobOnceInSubmissionOrder)
         EXPECT_EQ(results[i].key, jobs[i].key);
         EXPECT_TRUE(results[i].ok);
     }
+}
+
+/** @p n jobs keyed "job<i>"; job i calls @p body(i). */
+std::vector<Job>
+indexedJobs(std::size_t n, std::function<void(std::size_t)> body)
+{
+    std::vector<Job> jobs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        jobs[i].key = "job" + std::to_string(i);
+        jobs[i].run = [body, i](std::uint64_t) {
+            body(i);
+            return RunMetrics{};
+        };
+    }
+    return jobs;
+}
+
+TEST(SweepScheduler, ResolvesThreadCount)
+{
+    EXPECT_EQ(SweepScheduler({1, 42}).threads(), 1u);
+    EXPECT_EQ(SweepScheduler({7, 42}).threads(), 7u);
+    EXPECT_EQ(SweepScheduler({0, 42}).threads(),
+              std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST(SweepScheduler, RunsEveryJobExactlyOnce)
+{
+    constexpr std::size_t kN = 237;
+    std::vector<std::atomic<int>> hits(kN);
+    const auto results = SweepScheduler({4, 42}).run(
+        indexedJobs(kN, [&](std::size_t i) { hits[i].fetch_add(1); }));
+    ASSERT_EQ(results.size(), kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+        EXPECT_TRUE(results[i].ok) << "job " << i;
+    }
+}
+
+TEST(SweepScheduler, SingleThreadRunsInline)
+{
+    SweepScheduler sched({1, 42});
+    EXPECT_EQ(sched.threads(), 1u);
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(3);
+    sched.run(indexedJobs(ran.size(), [&](std::size_t i) {
+        ran[i] = std::this_thread::get_id();
+    }));
+    for (const auto &id : ran)
+        EXPECT_EQ(id, caller);
+}
+
+TEST(SweepScheduler, ClaimsJobsInSubmissionOrder)
+{
+    // Job 0 holds one of two workers until the last job has finished,
+    // so the other worker alone claims jobs 1..n-1: in submission
+    // order, one after the other.
+    constexpr std::size_t kN = 8;
+    std::mutex m;
+    std::condition_variable lastDone;
+    bool done = false;
+    std::vector<std::size_t> started;
+    const auto results =
+        SweepScheduler({2, 42}).run(indexedJobs(kN, [&](std::size_t i) {
+            std::unique_lock<std::mutex> lock(m);
+            if (i == 0) {
+                if (!lastDone.wait_for(lock, std::chrono::seconds(30),
+                                       [&] { return done; }))
+                    throw std::runtime_error("job n-1 never finished");
+                return;
+            }
+            started.push_back(i);
+            if (i == kN - 1) {
+                done = true;
+                lastDone.notify_all();
+            }
+        }));
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok) << r.key << ": " << r.error;
+    std::vector<std::size_t> inOrder(kN - 1);
+    std::iota(inOrder.begin(), inOrder.end(), 1);
+    EXPECT_EQ(started, inOrder);
 }
 
 TEST(SweepScheduler, SeedDependsOnKeyNotSubmissionOrderOrThreads)

@@ -2,8 +2,9 @@
  * @file
  * Protocol-detail tests: commit-protocol timing structure (durability
  * waits, overflow-list walks, commit marks), abort-protocol costs,
- * DRAM-cache interaction at commit, stale-metadata pruning, and the
- * write-buffer read-your-own-writes semantics.
+ * DRAM-cache interaction at commit, stale-metadata pruning, the
+ * write-buffer read-your-own-writes semantics, and the lost-update
+ * audit at commit.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +50,27 @@ TEST(Protocol, ReadYourOwnWrites)
     f.sys.issueCommit(0);
     f.eq.run();
     EXPECT_EQ(f.sys.setupRead64(kDram), 42u);
+}
+
+TEST(Protocol, LostUpdateAuditCountsAWriteBehindTheTransaction)
+{
+    Fixture f;
+    f.sys.beginTx(0, f.dom, 0);
+    f.access(0, kDram, true, 1);
+    f.sys.issueCommit(0);
+    f.eq.run();
+    EXPECT_EQ(f.sys.stats().lostUpdates, 0u);
+
+    // A store that bypasses conflict detection changes the line the
+    // running transaction has written; its commit then overwrites an
+    // update it never saw.
+    f.sys.beginTx(0, f.dom, 0);
+    f.access(0, kDram, true, 2);
+    f.sys.store().write64(kDram, 3);
+    f.sys.issueCommit(0);
+    f.eq.run();
+    EXPECT_EQ(f.sys.stats().lostUpdates, 1u);
+    EXPECT_EQ(f.sys.setupRead64(kDram), 2u);
 }
 
 TEST(Protocol, IsolationAcrossCores)

@@ -2,10 +2,11 @@
  * @file
  * uhtm_bench — unified driver for every reproduced paper figure.
  *
- * Runs a figure's sweep as independent simulation jobs on a
- * work-stealing thread pool and emits both the familiar text table and
- * the machine-readable BENCH_<figure>.json trajectory (byte-identical
- * across --jobs values; see exec/result_sink.hh for the schema).
+ * Runs a figure's sweep as independent simulation jobs on worker
+ * threads that claim them in submission order (exec/scheduler.hh) and
+ * emits both the familiar text table and the machine-readable
+ * BENCH_<figure>.json trajectory (byte-identical across --jobs values;
+ * see exec/result_sink.hh for the schema).
  *
  *   uhtm_bench <figure>|all [flags]     run one figure or all of them
  *   uhtm_bench [flags]                  same as "all" (figures whose
