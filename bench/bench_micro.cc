@@ -48,11 +48,10 @@ static void
 BM_CacheAllocateEvict(benchmark::State &state)
 {
     Cache cache("bm", KiB(64), 8);
-    CacheLine ev;
     bool had;
     Addr a = 0;
     for (auto _ : state) {
-        cache.allocate(a, ev, had);
+        cache.install(cache.victimFor(a, had), a);
         a += kLineBytes;
     }
 }

@@ -1024,9 +1024,11 @@ service(const FigureOpts &o, Sweep &s)
                         serviceParams(o, tenants, pt.spec);
                     const MachineConfig machine = machineFor(
                         o, tenants * params.workersPerTenant);
-                    const std::string key = "t" + std::to_string(tenants) +
-                                            "/" + pt.label + "/" +
-                                            sysv.label + "/" + pname;
+                    // Appending to "t" (not `"t" + std::string`)
+                    // keeps GCC 12's -Wrestrict false positive away.
+                    std::string key = "t";
+                    key += std::to_string(tenants) + "/" + pt.label + "/" +
+                           sysv.label + "/" + pname;
                     auto config = baseConfig("service", sysv.label);
                     config["policy"] = pname;
                     config["tenants"] = std::to_string(tenants);

@@ -121,10 +121,10 @@ struct PolicyDescriptor
     ConflictPolicyKind kind = ConflictPolicyKind::Fixed;
 
     /** Conflict-abort retries before the serialized fallback. Unused
-     *  by Fixed (which keeps using HtmPolicy::maxRetries), so parse()
-     *  rejects knobs on it. */
+     *  by Fixed (which uses the ConflictRules::kFixed* constants), so
+     *  parse() rejects knobs on it. */
     int retryBudget = 4;
-    /** Backoff base/cap, ns. Ignored by Fixed (HtmPolicy::backoff*). */
+    /** Backoff base/cap, ns. Ignored by Fixed. */
     double backoffBaseNs = 100;
     double backoffMaxNs = 50000;
 
@@ -329,19 +329,9 @@ struct HtmPolicy
 
     DramOverflowLog dramLog = DramOverflowLog::Undo;
 
-    /** Conflict-abort retries before falling back to the slow path. */
-    int maxRetries = 10;
-
-    /** Base backoff delay; doubles each retry with random jitter. */
-    Tick backoffBase = ticksFromNs(200);
-    /** Backoff cap. Must be able to exceed a long transaction's
-     *  duration, or two deterministic retriers writing one shared line
-     *  ping-pong under requester-wins until the retry limit (the
-     *  livelock the paper defers to future work). */
-    Tick backoffMax = ticksFromNs(3200000);
-
-    /** Contention-management policy (Fixed reproduces the knobs above
-     *  exactly; the adaptive kinds use the descriptor's own knobs). */
+    /** Contention-management policy (see htm/conflict_policy.hh:
+     *  Fixed uses the paper's constants, the adaptive kinds the
+     *  descriptor's own knobs). */
     PolicyDescriptor conflict;
 
     /** ---- presets matching the paper's evaluated systems ---- */

@@ -1,35 +1,33 @@
 /**
  * @file
- * Pluggable contention management: who loses a conflict, how long an
+ * Contention management as data: who loses a conflict, how long an
  * aborted transaction backs off, and when it gives up on the fast path
  * and serializes behind the per-domain fallback lock.
  *
- * The default Fixed policy reproduces the paper's Table II resolution
- * and Algorithm-1 retry schedule bit for bit (the golden bench JSON is
- * byte-compared against it in CI). The adaptive kinds explore the
- * contention-management space the paper defers to future work:
+ * The four policy kinds differ only in the six fields of ConflictRules:
  *
- *   - bounded-retry: small retry budget with jittered exponential
- *     backoff, then the serialized fallback;
- *   - karma: the transaction with more failed attempts wins a conflict,
- *     which bounds every transaction's abort count (no starvation);
- *   - hytm: a tiny retry budget and an aggressively used per-domain
- *     fallback lock that fast-path transactions subscribe to, in the
- *     shape of a hybrid-TM fallback path. Preemptions by the fallback
- *     writer are attributed to AbortCause::Fallback, and threads that
- *     waited out another thread's drain re-try the fast path instead
- *     of convoying on the lock (lemming avoidance).
+ *   kind           resolution          retries  backoff      preempt      drain
+ *   fixed          Table II            10       200ns/3.2ms  LockPreempt  no
+ *   bounded-retry  Table II            desc 4   desc         Fallback     no
+ *   karma          more attempts wins  desc 64  desc         Fallback     no
+ *   hytm           Table II            desc 2   desc         Fallback     yes
+ *
+ * "desc N" is the PolicyDescriptor's knob (default N; the descriptor's
+ * backoff defaults to 100ns/50us); "drain" is retryFastAfterDrain.
+ *
+ * `fixed` reproduces the paper's Table II resolution and Algorithm-1
+ * retry schedule bit for bit (the golden bench JSON is byte-compared
+ * against it in CI) from the constants below; the adaptive kinds take
+ * their budget and backoff from the PolicyDescriptor.
  *
  * Division of labour with HtmSystem: immunity (committing/serialized
  * victims) and the non-transactional-requester-always-wins rule stay in
- * the protocol engine; the policy only decides the transactional
+ * the protocol engine; the rules only decide the transactional
  * asymmetries.
  */
 
 #ifndef UHTM_HTM_CONFLICT_POLICY_HH
 #define UHTM_HTM_CONFLICT_POLICY_HH
-
-#include <memory>
 
 #include "htm/config.hh"
 #include "htm/tx_desc.hh"
@@ -39,86 +37,106 @@
 namespace uhtm
 {
 
-/** Contention-management strategy (see file comment). */
-class ConflictPolicy
+/** One conflict policy's rules (see file comment). */
+struct ConflictRules
 {
-  public:
-    explicit ConflictPolicy(const HtmPolicy &policy) : _policy(policy) {}
-    virtual ~ConflictPolicy() = default;
+    /** `fixed`: conflict-abort retries before the slow path. */
+    static constexpr int kFixedRetries = 10;
+    /** `fixed`: base backoff; doubles each retry with random jitter. */
+    static constexpr Tick kFixedBaseBackoff = ticksFromNs(200);
+    /** `fixed`: backoff cap. Must be able to exceed a long
+     *  transaction's duration, or two deterministic retriers writing
+     *  one shared line ping-pong under requester-wins until the retry
+     *  limit (the livelock the paper defers to future work). */
+    static constexpr Tick kFixedMaxBackoff = ticksFromNs(3200000);
 
-    ConflictPolicy(const ConflictPolicy &) = delete;
-    ConflictPolicy &operator=(const ConflictPolicy &) = delete;
+    /** Karma: the side with more failed attempts (TxDesc::attempt)
+     *  wins a conflict and Table II only breaks ties, which bounds
+     *  per-transaction abort counts without the fallback lock. */
+    bool moreAttemptsWins = false;
+    /** Conflict-abort retries before the serialized fallback. */
+    int retryBudget = kFixedRetries;
+    Tick baseBackoff = kFixedBaseBackoff;
+    Tick maxBackoff = kFixedMaxBackoff;
+    /** Cause attributed to fast-path transactions preempted by a
+     *  fallback-lock acquisition in their domain. */
+    AbortCause preemptCause = AbortCause::LockPreempt;
+    /** Lemming-effect avoidance: a thread that decided to serialize
+     *  but then waited for another thread's drain re-tries the fast
+     *  path (fresh attempt budget) instead of taking the lock itself. */
+    bool retryFastAfterDrain = false;
+
+    /** The rules of @p d's kind (the descriptor must be validated). */
+    static ConflictRules
+    of(const PolicyDescriptor &d)
+    {
+        ConflictRules r;
+        if (d.kind == ConflictPolicyKind::Fixed)
+            return r;
+        r.moreAttemptsWins = d.kind == ConflictPolicyKind::Karma;
+        r.retryBudget = d.retryBudget;
+        r.baseBackoff = ticksFromNs(d.backoffBaseNs);
+        r.maxBackoff = ticksFromNs(d.backoffMaxNs);
+        r.preemptCause = AbortCause::Fallback;
+        r.retryFastAfterDrain = d.kind == ConflictPolicyKind::HytmFallback;
+        return r;
+    }
 
     /**
      * On-chip conflict (directory hit): @retval true the requester
-     * aborts instead of @p victim. Requester-wins policies return true
-     * only for the overflowed-victim asymmetry of paper Table II.
+     * aborts instead of @p victim. Table II is requester-wins except
+     * when exactly the victim overflowed.
      */
-    virtual bool onChipRequesterAborts(const TxDesc &req,
-                                       const TxDesc &victim) const = 0;
+    bool
+    onChipRequesterAborts(const TxDesc &req, const TxDesc &victim) const
+    {
+        if (moreAttemptsWins && victim.attempt != req.attempt)
+            return victim.attempt > req.attempt;
+        return victim.overflowed && !req.overflowed;
+    }
 
     /**
      * Off-chip conflict (signature/precise hit): @retval true @p victim
      * aborts first and the requester proceeds if the victim was
-     * killable. Requester-loses policies return true only for the
-     * overflowed-requester asymmetry of paper Table II.
+     * killable. Table II is requester-loses except when exactly the
+     * requester overflowed.
      */
-    virtual bool offChipVictimAborts(const TxDesc &req,
-                                     const TxDesc &victim) const = 0;
+    bool
+    offChipVictimAborts(const TxDesc &req, const TxDesc &victim) const
+    {
+        if (moreAttemptsWins && req.attempt != victim.attempt)
+            return req.attempt > victim.attempt;
+        return req.overflowed && !victim.overflowed;
+    }
 
     /**
-     * Backoff delay before retry number @p attempt + 1. Implementations
-     * must draw from @p rng exactly once (event-order determinism).
+     * Jittered exponential backoff before retry number @p attempt + 1:
+     * exactly one @p rng draw in [span/2, span] (event-order
+     * determinism).
      */
-    virtual Tick backoffDelay(int attempt, Rng &rng) const = 0;
+    Tick
+    backoffDelay(int attempt, Rng &rng) const
+    {
+        const int shift = attempt < 14 ? attempt : 14;
+        Tick span = baseBackoff << shift;
+        if (span > maxBackoff)
+            span = maxBackoff;
+        return rng.range(span / 2, span);
+    }
 
     /**
      * Fallback trigger, consulted after the abort protocol ran:
      * @p next_attempt is the upcoming attempt number, @p cause the
-     * abort's attribution. @retval true take the serialized slow path.
+     * abort's attribution. Capacity overflows repeat after restart, so
+     * they go straight to the slow path (Algorithm 1 line 15);
+     * conflicts retry up to the budget. @retval true serialize.
      */
-    virtual bool shouldSerialize(int next_attempt,
-                                 AbortCause cause) const = 0;
-
-    /** Cause attributed to fast-path transactions preempted by a
-     *  fallback-lock acquisition in their domain. */
-    virtual AbortCause
-    preemptCause() const
+    bool
+    shouldSerialize(int next_attempt, AbortCause cause) const
     {
-        return AbortCause::LockPreempt;
+        return cause == AbortCause::Capacity || next_attempt > retryBudget;
     }
-
-    /**
-     * Lemming-effect avoidance: a thread that decided to serialize but
-     * then waited for another thread's drain re-tries the fast path
-     * (fresh attempt budget) instead of taking the lock itself.
-     */
-    virtual bool retryFastAfterDrain() const { return false; }
-
-    const PolicyDescriptor &descriptor() const
-    {
-        return _policy.conflict;
-    }
-
-  protected:
-    /** Jittered exponential backoff: one rng draw in [span/2, span]. */
-    Tick
-    jitteredBackoff(int attempt, Tick base, Tick max, Rng &rng) const
-    {
-        const int shift = attempt < 14 ? attempt : 14;
-        Tick span = base << shift;
-        if (span > max)
-            span = max;
-        return rng.range(span / 2, span);
-    }
-
-    const HtmPolicy &_policy;
 };
-
-/** Build the policy selected by @p policy.conflict. The descriptor must
- *  already be validated; @p policy must outlive the returned object. */
-std::unique_ptr<ConflictPolicy>
-makeConflictPolicy(const HtmPolicy &policy);
 
 } // namespace uhtm
 

@@ -7,7 +7,6 @@
 
 #include <cassert>
 
-#include "htm/conflict_policy.hh"
 #include "htm/htm_system.hh"
 #include "obs/tracer.hh"
 
@@ -56,7 +55,7 @@ HtmSystem::onChipConflictCheck(CacheLine &s, TxDesc *req, bool is_write)
     for (TxDesc *v : victims) {
         const bool immune =
             v->status == TxStatus::Committing || v->serialized;
-        if (immune || _conflict->onChipRequesterAborts(*req, *v)) {
+        if (immune || _conflict.onChipRequesterAborts(*req, *v)) {
             requestAbort(req, AbortCause::TrueConflictOnChip, v->id,
                          s.tag);
             return {true};
@@ -157,7 +156,7 @@ HtmSystem::offChipConflictCheck(Addr line, TxDesc *req,
             requestAbort(v, cause, kNoTx, line);
             continue;
         }
-        if (_conflict->offChipVictimAborts(*req, *v)) {
+        if (_conflict.offChipVictimAborts(*req, *v)) {
             // Overflowed-transaction priority (paper Table II) or an
             // adaptive policy ruling in the requester's favour.
             if (requestAbort(v, cause, req->id, line))
@@ -242,7 +241,6 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
     // and apply the hybrid version management.
     if (writer && !writer->serialized) {
         markOverflowed(writer, line);
-        writer->overflowedLines.insert(line);
         if (_policy.offChip != OffChipDetection::Precise) {
             const SigProbe &p = probeFor(line);
             writer->writeSig.insert(p);
@@ -296,7 +294,6 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
         if (d->serialized)
             continue;
         markOverflowed(d, line);
-        d->overflowedLines.insert(line);
         if (_policy.offChip != OffChipDetection::Precise) {
             const SigProbe &p = probeFor(line);
             d->readSig.insert(p);
@@ -475,17 +472,15 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
     if (tx) {
         if (is_write) {
             ++tx->writes;
-            tx->writeSet.insert(line);
-            auto it = tx->writeBuffer.find(line);
-            if (it == tx->writeBuffer.end()) {
+            auto it = tx->writeSet.find(line);
+            if (it == tx->writeSet.end()) {
                 // Copy-on-first-write: buffer starts from the
                 // architectural (pre-transaction) image.
-                it = tx->writeBuffer.emplace(line, decltype(it->second){})
-                         .first;
-                _store.readLine(line, it->second.data());
-                tx->preImage.emplace(line, it->second);
+                it = tx->writeSet.emplace(line).first;
+                _store.readLine(line, it->second.image.data());
+                it->second.preImage = it->second.image;
             }
-            auto &buf = it->second;
+            auto &buf = it->second.image;
             if (whole_line) {
                 for (unsigned i = 0; i < kLineBytes; i += 8)
                     std::memcpy(buf.data() + i, &wdata, 8);
@@ -521,9 +516,10 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
         } else {
             ++tx->reads;
             tx->readSet.insert(line);
-            auto it = tx->writeBuffer.find(line);
-            if (it != tx->writeBuffer.end())
-                std::memcpy(&data, it->second.data() + (word - line), 8);
+            auto it = tx->writeSet.find(line);
+            if (it != tx->writeSet.end())
+                std::memcpy(&data, it->second.image.data() + (word - line),
+                            8);
             else
                 data = _store.read64(word);
         }

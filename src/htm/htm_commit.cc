@@ -42,7 +42,7 @@ HtmSystem::issueCommit(CoreId core)
 
     // ---- NVM commit (redo) ----
     std::vector<Addr> nvm_lines;
-    for (Addr line : tx->writeSet)
+    for (const auto &[line, w] : tx->writeSet)
         if (MemLayout::kindOf(line) == MemKind::Nvm)
             nvm_lines.push_back(line);
     // Canonical address order: the DRAM-cache fills below have
@@ -107,13 +107,12 @@ HtmSystem::issueCommit(CoreId core)
     // buffer lands — the oracle's definition of the commit sequence.
     if (_commitHook)
         _commitHook(*tx);
-    for (const auto &[line, buf] : tx->writeBuffer) {
-        const auto &pre = tx->preImage.at(line);
+    for (const auto &[line, w] : tx->writeSet) {
         std::array<std::uint8_t, kLineBytes> cur;
         _store.readLine(line, cur.data());
-        if (std::memcmp(pre.data(), cur.data(), kLineBytes) != 0)
+        if (std::memcmp(w.preImage.data(), cur.data(), kLineBytes) != 0)
             ++_stats.lostUpdates;
-        _store.writeLine(line, buf.data());
+        _store.writeLine(line, w.image.data());
     }
     // Report the commit before the DRAM-cache fills below: their
     // evictions can queue in-place writes of this transaction's own
@@ -126,7 +125,7 @@ HtmSystem::issueCommit(CoreId core)
         for (Addr line : nvm_lines) {
             rec.nvmLines.push_back(
                 FaultInjector::CommittedLine{line,
-                                             tx->writeBuffer.at(line)});
+                                             tx->writeSet.at(line).image});
         }
         _faultInjector->onTxCommitted(std::move(rec));
     }
@@ -134,7 +133,7 @@ HtmSystem::issueCommit(CoreId core)
     if (!nvm_lines.empty()) {
         _redoLog.commit(tx->id, commit_durable_at);
         for (Addr line : nvm_lines) {
-            const auto &buf = tx->writeBuffer.at(line);
+            const auto &buf = tx->writeSet.at(line).image;
             if (!_dramCache.commitEntry(line, tx->id, buf)) {
                 DramCacheEntry *e = _dramCache.insert(line, kNoTx);
                 e->data = buf;
@@ -257,10 +256,10 @@ HtmSystem::issueAbort(CoreId core)
         FaultInjector::AbortedTx rec;
         rec.tx = tx->id;
         rec.undoEntries = entries;
-        rec.lines.reserve(tx->writeBuffer.size());
-        for (const auto &[line, buf] : tx->writeBuffer) {
-            rec.lines.push_back(FaultInjector::AbortedLine{
-                line, tx->preImage.at(line), buf});
+        rec.lines.reserve(tx->writeSet.size());
+        for (const auto &[line, w] : tx->writeSet) {
+            rec.lines.push_back(
+                FaultInjector::AbortedLine{line, w.preImage, w.image});
         }
         _faultInjector->onTxAborted(std::move(rec));
     }

@@ -9,10 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "check/fault_injector.hh"
-#include "htm/conflict_policy.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
@@ -31,7 +29,7 @@ HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
     assert(mcfg.cores >= 1 && mcfg.cores <= 64 &&
            "sharer bitmask limits the model to 64 cores");
     assert(_policy.conflict.validate() && "invalid conflict policy");
-    _conflict = makeConflictPolicy(_policy);
+    _conflict = ConflictRules::of(_policy.conflict);
     // Domain summary filters share the per-transaction signature
     // geometry so unionWith() stays a straight word-wise OR.
     if (policy.offChip == OffChipDetection::SignatureLlcMiss ||
@@ -202,7 +200,7 @@ HtmSystem::beginSerializedTx(CoreId core, DomainId domain, int attempt)
     // the domain (they hold the lock in their read set in Algorithm 1).
     // Adaptive policies attribute these preemptions to the fallback
     // stage; the fixed policy keeps the paper's lock-preempt cause.
-    const AbortCause cause = _conflict->preemptCause();
+    const AbortCause cause = _conflict.preemptCause;
     for (TxDesc *v : _tss.activeInDomain(domain)) {
         if (v != tx)
             requestAbort(v, cause, tx->id);
@@ -411,9 +409,9 @@ HtmSystem::lineImage(const TxDesc *tx, Addr line,
                      std::array<std::uint8_t, kLineBytes> &out) const
 {
     if (tx) {
-        auto it = tx->writeBuffer.find(line);
-        if (it != tx->writeBuffer.end()) {
-            out = it->second;
+        auto it = tx->writeSet.find(line);
+        if (it != tx->writeSet.end()) {
+            out = it->second.image;
             return;
         }
     }
@@ -444,11 +442,7 @@ HtmSystem::registerTxAtDirectory(Addr line, TxDesc *tx, bool is_write)
 {
     CacheLine *s = _llc.peek(line);
     if (!s) {
-        std::fprintf(stderr,
-                     "INCLUSION-VIOLATION: tx %llu L1-hit on %llx with "
-                     "no LLC copy\n",
-                     (unsigned long long)tx->id,
-                     (unsigned long long)line);
+        ++_stats.inclusionViolations;
         return;
     }
     // The directory update refreshes the LLC's recency too, so hot
@@ -478,24 +472,17 @@ HtmSystem::chargeOverflowListWalk(const TxDesc *tx, Tick t)
 }
 
 void
-HtmSystem::resetStats()
-{
-    _stats = HtmStats{};
-    _abortProfiler = obs::AbortProfiler{};
-}
-
-void
 HtmSystem::prewarmLlc(Addr base, std::uint64_t lines)
 {
     for (std::uint64_t i = 0; i < lines; ++i) {
         const Addr line = lineAlign(base) + i * kLineBytes;
         if (_llc.peek(line))
             continue;
-        CacheLine evicted;
         bool had = false;
-        CacheLine *s = _llc.allocate(line, evicted, had);
+        CacheLine *s = _llc.victimFor(line, had);
         // Pre-warm happens before any transaction exists; evicted
         // lines are clean prewarm lines, so no protocol action needed.
+        _llc.install(s, line);
         s->sharers = 0;
         s->ownerCore = kNoCore;
         s->dirty = false;

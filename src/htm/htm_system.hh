@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "htm/config.hh"
+#include "htm/conflict_policy.hh"
 #include "htm/tss.hh"
 #include "htm/tx_desc.hh"
 #include "mem/backing_store.hh"
@@ -51,7 +52,6 @@
 namespace uhtm
 {
 
-class ConflictPolicy;
 class FaultInjector;
 
 namespace obs
@@ -99,6 +99,13 @@ struct HtmStats
      * serialized into the bench JSON or the metrics sidecar.
      */
     std::uint64_t lostUpdates = 0;
+
+    /**
+     * Transactional L1 hits on a line with no LLC copy: a hole in the
+     * inclusive hierarchy (the directory cannot record the access).
+     * Always 0 on a correct protocol. Not serialized, like lostUpdates.
+     */
+    std::uint64_t inclusionViolations = 0;
 
     std::uint64_t contextSwitches = 0;
     /** OS traps taken to expand a full log area (Section IV-E). */
@@ -328,7 +335,7 @@ class HtmSystem
     EventQueue &eventQueue() { return _eq; }
     const MachineConfig &machine() const { return _mcfg; }
     const HtmPolicy &policy() const { return _policy; }
-    const ConflictPolicy &conflictPolicy() const { return *_conflict; }
+    const ConflictRules &conflictRules() const { return _conflict; }
     BackingStore &store() { return _store; }
     const BackingStore &store() const { return _store; }
     Cache &l1(CoreId c) { return *_l1s[c]; }
@@ -367,9 +374,6 @@ class HtmSystem
     {
         _commitHook = std::move(hook);
     }
-
-    /** Reset statistics (after warmup). */
-    void resetStats();
 
     /**
      * Test hook: request an abort of @p victim as conflict resolution
@@ -512,7 +516,7 @@ class HtmSystem
     EventQueue &_eq;
     MachineConfig _mcfg;
     HtmPolicy _policy;
-    std::unique_ptr<ConflictPolicy> _conflict;
+    ConflictRules _conflict;
 
     BackingStore _store;      ///< architectural (committed) state
     BackingStore _durableNvm; ///< durable in-place NVM image

@@ -28,7 +28,6 @@
 #include <coroutine>
 #include <cstdint>
 
-#include "htm/conflict_policy.hh"
 #include "htm/htm_system.hh"
 #include "sim/random.hh"
 #include "sim/task.hh"
@@ -259,7 +258,7 @@ class TxContext
     CoTask<void>
     run(Body body)
     {
-        const ConflictPolicy &cp = _sys.conflictPolicy();
+        const ConflictRules &rules = _sys.conflictRules();
         int attempt = 0;
         bool serialize = false;
         for (;;) {
@@ -270,7 +269,7 @@ class TxContext
             }
             if (waited && serialize &&
                 _lastAbortCause != AbortCause::Capacity &&
-                cp.retryFastAfterDrain()) {
+                rules.retryFastAfterDrain) {
                 // Lemming avoidance: another thread's drain just
                 // resolved the contention we were fleeing — re-try the
                 // fast path with a fresh budget instead of convoying
@@ -311,12 +310,12 @@ class TxContext
             }
             _lastAbortCause = _sys.currentTx(_core)->abortCause;
             ++_stats.aborts;
-            const Tick backoff = cp.backoffDelay(attempt, _rng);
+            const Tick backoff = rules.backoffDelay(attempt, _rng);
             co_await ResumeAfter{_sys.eventQueue(), [this, backoff] {
                 return _sys.issueAbort(_core) + backoff;
             }};
             ++attempt;
-            if (cp.shouldSerialize(attempt, _lastAbortCause))
+            if (rules.shouldSerialize(attempt, _lastAbortCause))
                 serialize = true;
         }
     }

@@ -5,10 +5,11 @@
  *
  * The TSS is the paper's global structure tracking every running
  * transaction: id, abortion flag, overflow bit (Section IV-E). The
- * descriptor additionally holds the simulator-side state: the
- * speculative write buffer (functional isolation), precise read/write
- * sets (ground truth for false-positive classification and the Ideal
- * system), address signatures, the overflow list, and statistics.
+ * descriptor additionally holds the simulator-side state: precise
+ * read/write sets (ground truth for false-positive classification and
+ * the Ideal system; each write-set record also holds the line's
+ * speculative image, the write buffer of functional isolation),
+ * address signatures, the overflow list, and statistics.
  */
 
 #ifndef UHTM_HTM_TX_DESC_HH
@@ -35,6 +36,17 @@ enum class TxStatus
     Committing,
     Committed,
     Aborted,
+};
+
+/** One written line of a transaction. */
+struct LineWrite
+{
+    /** Speculative full-line image. */
+    std::array<std::uint8_t, kLineBytes> image{};
+    /** Architectural image at the first write (lost-update audit: if
+     *  the line changed under us without a conflict abort, the
+     *  isolation protocol has a hole). */
+    std::array<std::uint8_t, kLineBytes> preImage{};
 };
 
 /** Per-transaction runtime state. */
@@ -69,22 +81,17 @@ struct TxDesc
     /** When the first line left the on-chip caches (0 = never). */
     Tick overflowTick = 0;
 
-    /** Speculative write buffer: full line images, copy-on-first-write.
-     *  Flat line-keyed map (sim/line_map.hh): allocation-free inserts
-     *  and cache-friendly probes on the per-access functional path. */
-    LineMap<std::array<std::uint8_t, kLineBytes>> writeBuffer;
-
-    /** Pre-images captured at copy-on-first-write (lost-update audit:
-     *  if the architectural line changed under us without a conflict
-     *  abort, the isolation protocol has a hole). */
-    LineMap<std::array<std::uint8_t, kLineBytes>> preImage;
-
-    /** Precise sets (line base addresses), insertion-ordered. */
+    /** Precise read set (line base addresses), insertion-ordered. */
     LineSet readSet;
-    LineSet writeSet;
 
-    /** Off-chip (LLC-overflowed) membership, for tests/accounting. */
-    LineSet overflowedLines;
+    /**
+     * Precise write set and speculative write buffer in one: one record
+     * per written line, created by the line's first transactional store
+     * (copy-on-first-write), insertion-ordered. Flat line-keyed map
+     * (sim/line_map.hh): allocation-free inserts and cache-friendly
+     * probes on the per-access functional path.
+     */
+    LineMap<LineWrite> writeSet;
 
     /**
      * Overflow list: addresses of L1-evicted write-set lines, used to

@@ -60,16 +60,6 @@ Cache::peek(Addr line_base) const
 }
 
 CacheLine *
-Cache::allocate(Addr line_base, CacheLine &evicted, bool &had_victim)
-{
-    CacheLine *victim = victimFor(line_base, had_victim);
-    if (had_victim)
-        evicted = *victim;
-    install(victim, line_base);
-    return victim;
-}
-
-CacheLine *
 Cache::victimFor(Addr line_base, bool &had_victim)
 {
     assert(!peek(line_base) && "line must not already be present");

@@ -165,16 +165,7 @@ class Cache
     const CacheLine *peek(Addr line_base) const;
 
     /**
-     * Allocate a way for @p line_base (which must not be present).
-     * If a valid victim had to be displaced, it is copied to @p evicted
-     * and true is returned via @p had_victim. The returned slot is
-     * freshly constructed and tagged; the caller fills in the rest.
-     */
-    CacheLine *allocate(Addr line_base, CacheLine &evicted,
-                        bool &had_victim);
-
-    /**
-     * Copy-free allocation, step 1: choose and return the victim way
+     * Allocation, step 1: choose and return the victim way
      * for @p line_base (which must not be present). Eviction statistics
      * are counted here; the slot's old contents are left intact so the
      * caller can process the eviction in place, then hand the slot to
@@ -185,7 +176,7 @@ class Cache
     CacheLine *victimFor(Addr line_base, bool &had_victim);
 
     /**
-     * Copy-free allocation, step 2: destroy the victim (if any), then
+     * Allocation, step 2: destroy the victim (if any), then
      * construct, tag and touch a fresh line in @p slot.
      */
     void install(CacheLine *slot, Addr line_base);

@@ -87,13 +87,25 @@ readTrace(const std::string &path, TraceData &out, std::string *err)
         }
         ok = false;
     }
-    const long skip =
+    const long tail =
         ok ? static_cast<long>(out.header.eventBytes - sizeof(Event)) : 0;
     std::size_t rec = 0;
     while (ok) {
         Event e;
-        if (std::fread(&e, sizeof(e), 1, f) != 1)
-            break; // clean EOF (or truncated tail; tolerate like PR 5)
+        const std::size_t got = std::fread(&e, 1, sizeof(e), f);
+        if (got == 0)
+            break; // clean EOF
+        // A file that ends inside a record is an error, never a silent
+        // drop. Seeking past EOF succeeds, so a skipped tail is proven
+        // present by reading its last byte.
+        if (got != sizeof(e) ||
+            (tail > 0 && (std::fseek(f, tail - 1, SEEK_CUR) != 0 ||
+                          std::fgetc(f) == EOF))) {
+            if (err)
+                *err = format("%s: truncated record %zu", path.c_str(), rec);
+            ok = false;
+            break;
+        }
         // Strict kind validation: an out-of-range kind means the file
         // is corrupt or from a future schema — refuse it rather than
         // silently truncating the analysis input.
@@ -103,12 +115,6 @@ readTrace(const std::string &path, TraceData &out, std::string *err)
                               path.c_str(),
                               static_cast<unsigned>(e.kind), rec);
             }
-            ok = false;
-            break;
-        }
-        if (skip > 0 && std::fseek(f, skip, SEEK_CUR) != 0) {
-            if (err)
-                *err = format("%s: short record %zu", path.c_str(), rec);
             ok = false;
             break;
         }

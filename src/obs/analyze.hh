@@ -58,7 +58,9 @@ struct TraceData
  * kind against kEventKindCount (a bad kind is a hard error, not a
  * truncation). Records larger than sizeof(Event) — a forward-compatible
  * payload extension — are read by taking the known 32-byte prefix and
- * skipping the unknown tail.
+ * skipping the unknown tail. A file that ends inside a record fails
+ * with "<path>: truncated record N"; a cut on a record boundary reads
+ * as a shorter, complete trace.
  */
 bool readTrace(const std::string &path, TraceData &out,
                std::string *err = nullptr);

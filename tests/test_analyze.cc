@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "exec/scheduler.hh"
 #include "harness/figures.hh"
@@ -139,6 +140,41 @@ TEST(AnalyzeReader, RejectsBadVersionAndBadKind)
         std::string err;
         EXPECT_FALSE(obs::readTrace(path, td, &err));
         EXPECT_NE(err.find("bad event kind"), std::string::npos) << err;
+    }
+
+    // Last record cut short, in its known prefix or in the payload tail
+    // of a wider record: a hard error. A cut on a record boundary reads.
+    for (const std::uint32_t tail : {0u, 8u}) {
+        const std::string path = dir + "/cut.uhtmtrace";
+        std::string bytes;
+        const auto h = makeHeader(obs::kTraceVersion,
+                                  sizeof(obs::Event) + tail, 7);
+        bytes.append(reinterpret_cast<const char *>(&h), sizeof(h));
+        for (int i = 0; i < 2; ++i) {
+            const obs::Event e =
+                makeEvent(obs::EventKind::TxBegin, 100 * (i + 1), i + 1, 0);
+            bytes.append(reinterpret_cast<const char *>(&e), sizeof(e));
+            bytes.append(tail, 'x');
+        }
+        const std::size_t record = sizeof(obs::Event) + tail;
+        // Bytes cut off the end: inside the prefix, inside the tail.
+        std::vector<std::size_t> cuts = {record / 2};
+        if (tail > 0)
+            cuts.push_back(tail / 2);
+        for (const std::size_t cut : cuts) {
+            writeFile(path, bytes.data(), bytes.size() - cut);
+            obs::TraceData td;
+            std::string err;
+            EXPECT_FALSE(obs::readTrace(path, td, &err)) << cut;
+            EXPECT_NE(err.find(path + ": truncated record 1"),
+                      std::string::npos)
+                << err;
+        }
+        writeFile(path, bytes.data(), bytes.size() - record);
+        obs::TraceData td;
+        std::string err;
+        EXPECT_TRUE(obs::readTrace(path, td, &err)) << err;
+        EXPECT_EQ(td.events.size(), 1u);
     }
 
     // Not a trace file at all.

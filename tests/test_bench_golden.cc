@@ -108,6 +108,8 @@ TEST_P(GoldenFigure, TinyJsonMatchesCommittedGolden)
         ASSERT_TRUE(r.ok) << r.key << ": " << r.error;
         EXPECT_EQ(r.metrics.htm.lostUpdates, 0u)
             << r.key << ": a commit overwrote an update it never saw";
+        EXPECT_EQ(r.metrics.htm.inclusionViolations, 0u)
+            << r.key << ": a transactional L1 hit had no LLC copy";
     }
 
     const exec::ResultSink sink(

@@ -199,6 +199,93 @@ TEST(ConflictMatrix, SilentExclusiveCopyCannotDodgeDetection)
     EXPECT_FALSE(holder->abortRequested);
 }
 
+TEST(ConflictMatrix, PolicyResolutionTable)
+{
+    // Every conflict-policy kind against every resolution input: on
+    // and off chip, equal and unequal attempt counts, neither, one or
+    // both sides overflowed. The expectation is written out
+    // independently of the policy code: Table II (on chip the requester
+    // wins, off chip it loses, and an overflowed side beats a
+    // non-overflowed one), except that karma first lets the side with
+    // more attempts win.
+    struct Side
+    {
+        int attempt;
+        bool overflowed;
+    };
+    const std::pair<Side, Side> cases[] = {
+        // {requester, victim}
+        {{0, false}, {0, false}}, {{0, true}, {0, false}},
+        {{0, false}, {0, true}},  {{3, false}, {0, false}},
+        {{0, false}, {3, false}}, {{3, true}, {0, false}},
+        {{0, false}, {3, true}},  {{3, false}, {0, true}},
+        {{0, true}, {3, false}},  {{0, true}, {0, true}},
+        {{3, true}, {0, true}},
+    };
+    for (const char *kind : {"fixed", "bounded-retry", "karma", "hytm"}) {
+        HtmPolicy pol = HtmPolicy::uhtmOpt(2048);
+        std::string err;
+        ASSERT_TRUE(PolicyDescriptor::parse(kind, &pol.conflict, &err))
+            << err;
+        const bool karma = std::string(kind) == "karma";
+        for (const bool on_chip : {true, false}) {
+            for (const auto &[rs, vs] : cases) {
+                Fixture f(pol);
+                TxDesc *victim = f.sys.beginTx(0, f.dom0, vs.attempt);
+                f.access(0, f.dom0, kLine, true);
+                victim->overflowed = vs.overflowed;
+                if (!on_chip) {
+                    victim->writeSig.insert(kLine);
+                    f.sys.l1(0).invalidate(lineAlign(kLine));
+                    f.sys.llc().invalidate(lineAlign(kLine));
+                }
+                TxDesc *req = f.sys.beginTx(1, f.dom0, rs.attempt);
+                req->overflowed = rs.overflowed;
+                // On chip: a write hits the victim's directory entry.
+                // Off chip: a read misses the LLC and hits its signature.
+                f.access(1, f.dom0, kLine, on_chip);
+
+                bool req_loses;
+                if (karma && rs.attempt != vs.attempt)
+                    req_loses = vs.attempt > rs.attempt;
+                else if (rs.overflowed != vs.overflowed)
+                    req_loses = vs.overflowed;
+                else
+                    req_loses = !on_chip;
+                TxDesc *loser = req_loses ? req : victim;
+                TxDesc *winner = req_loses ? victim : req;
+                SCOPED_TRACE(std::string(kind) +
+                             (on_chip ? " on chip" : " off chip") +
+                             ": requester attempt " +
+                             std::to_string(rs.attempt) +
+                             (rs.overflowed ? " overflowed" : "") +
+                             ", victim attempt " +
+                             std::to_string(vs.attempt) +
+                             (vs.overflowed ? " overflowed" : ""));
+                EXPECT_TRUE(loser->abortRequested);
+                EXPECT_FALSE(winner->abortRequested);
+                EXPECT_EQ(loser->abortCause,
+                          on_chip ? AbortCause::TrueConflictOnChip
+                                  : AbortCause::TrueConflictOffChip);
+                EXPECT_EQ(loser->abortedBy, winner->id);
+            }
+        }
+
+        // Taking the fallback lock preempts the domain's fast path.
+        Fixture f(pol);
+        TxDesc *fast = f.sys.beginTx(0, f.dom0, 0);
+        TxDesc *other = f.sys.beginTx(2, f.dom1, 0);
+        TxDesc *slow = f.sys.beginSerializedTx(1, f.dom0, 0);
+        EXPECT_TRUE(fast->abortRequested) << kind;
+        EXPECT_EQ(fast->abortCause, std::string(kind) == "fixed"
+                                        ? AbortCause::LockPreempt
+                                        : AbortCause::Fallback)
+            << kind;
+        EXPECT_EQ(fast->abortedBy, slow->id) << kind;
+        EXPECT_FALSE(other->abortRequested) << kind;
+    }
+}
+
 TEST(Bounded, ChipEvictionCausesCapacityAbort)
 {
     Fixture f(HtmPolicy::llcBounded());

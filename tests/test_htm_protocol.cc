@@ -3,8 +3,8 @@
  * Protocol-detail tests: commit-protocol timing structure (durability
  * waits, overflow-list walks, commit marks), abort-protocol costs,
  * DRAM-cache interaction at commit, stale-metadata pruning, the
- * write-buffer read-your-own-writes semantics, and the lost-update
- * audit at commit.
+ * write-buffer read-your-own-writes semantics, the lost-update audit
+ * at commit and the inclusion audit at transactional L1 hits.
  */
 
 #include <gtest/gtest.h>
@@ -71,6 +71,21 @@ TEST(Protocol, LostUpdateAuditCountsAWriteBehindTheTransaction)
     f.eq.run();
     EXPECT_EQ(f.sys.stats().lostUpdates, 1u);
     EXPECT_EQ(f.sys.setupRead64(kDram), 2u);
+}
+
+TEST(Protocol, InclusionAuditCountsAnL1HitWithNoLlcCopy)
+{
+    Fixture f;
+    f.access(0, kDram, false, 0); // fills the L1 and the LLC
+    f.sys.beginTx(0, f.dom, 0);
+    f.access(0, kDram, false, 0);
+    EXPECT_EQ(f.sys.stats().inclusionViolations, 0u);
+
+    // Drop the LLC copy behind the L1's back: the next transactional
+    // L1 hit finds no directory entry to record itself in.
+    f.sys.llc().invalidate(lineAlign(kDram));
+    f.access(0, kDram, false, 0);
+    EXPECT_EQ(f.sys.stats().inclusionViolations, 1u);
 }
 
 TEST(Protocol, IsolationAcrossCores)

@@ -202,27 +202,18 @@ cacheDifferential(unsigned ways, bool tx_aware, unsigned tx_rate,
         SCOPED_TRACE(testing::Message() << "step " << step << " op " << op);
 
         if (at < 0 && op < 50) {
-            // Install; half through allocate(), half victimFor/install.
+            // Install through victimFor/install.
             const int want = refCacheVictim(s, tx_aware);
             const bool wantVictim = s.ways[want].valid;
             if (!base[set]) {
                 ASSERT_EQ(want, 0) << "a fresh set fills way 0 first";
             }
             bool had = false;
-            CacheLine *slot;
-            if (op % 2) {
-                CacheLine evicted;
-                slot = cache.allocate(tag, evicted, had);
-                if (had) {
-                    EXPECT_EQ(evicted.tag, s.ways[want].tag);
-                }
-            } else {
-                slot = cache.victimFor(tag, had);
-                if (had) {
-                    EXPECT_EQ(slot->tag, s.ways[want].tag);
-                }
-                cache.install(slot, tag);
+            CacheLine *slot = cache.victimFor(tag, had);
+            if (had) {
+                EXPECT_EQ(slot->tag, s.ways[want].tag);
             }
+            cache.install(slot, tag);
             if (!base[set])
                 base[set] = slot;
             ASSERT_EQ(had, wantVictim);
@@ -284,25 +275,29 @@ TEST(LruDifferential, TxAwareCacheFallsBackToLruWhenEveryWayIsTransactional)
 {
     for (unsigned ways : {2u, 4u, 8u, 16u}) {
         Cache cache("t", ways * kLineBytes, ways, true);
-        CacheLine ev;
         bool had;
-        for (unsigned w = 0; w < ways; ++w)
-            cache.allocate(lineIn(1, 0, w), ev, had)->txWriter = 9;
+        for (unsigned w = 0; w < ways; ++w) {
+            CacheLine *slot = cache.victimFor(lineIn(1, 0, w), had);
+            cache.install(slot, lineIn(1, 0, w));
+            slot->txWriter = 9;
+        }
         // Most recent first: the odd lines, then the even ones; line 0
         // is the least recently used.
         for (unsigned w = 1; w < ways; w += 2)
             cache.lookup(lineIn(1, 0, w));
-        cache.allocate(lineIn(1, 0, ways), ev, had);
+        CacheLine *slot = cache.victimFor(lineIn(1, 0, ways), had);
         ASSERT_TRUE(had);
-        EXPECT_EQ(ev.tag, lineIn(1, 0, 0)) << ways << " ways";
+        EXPECT_EQ(slot->tag, lineIn(1, 0, 0)) << ways << " ways";
+        cache.install(slot, lineIn(1, 0, ways));
         EXPECT_EQ(cache.stats().txEvictions, 1u);
         // The new line is the only non-transactional one until the most
         // recent old line is cleared; that one is the victim next.
         CacheLine *recent = cache.peek(lineIn(1, 0, ways - 1));
         ASSERT_NE(recent, nullptr);
         recent->clearTxMeta();
-        cache.allocate(lineIn(1, 0, ways + 1), ev, had);
-        EXPECT_EQ(ev.tag, lineIn(1, 0, ways - 1)) << ways << " ways";
+        slot = cache.victimFor(lineIn(1, 0, ways + 1), had);
+        EXPECT_EQ(slot->tag, lineIn(1, 0, ways - 1)) << ways << " ways";
+        cache.install(slot, lineIn(1, 0, ways + 1));
         EXPECT_EQ(cache.stats().txEvictions, 1u);
     }
 }
@@ -420,7 +415,6 @@ TEST(Cache, PrefetchVictimChangesNoLookupVictimOrStat)
     for (bool aware : {false, true}) {
         Cache plain("p", 2 * 16 * kLineBytes, 16, aware);
         Cache pre("p", 2 * 16 * kLineBytes, 16, aware);
-        CacheLine ev1, ev2;
         bool had1, had2;
         for (std::uint64_t i = 0; i < 40; ++i) {
             const Addr line = lineIn(2, 0, i);
@@ -428,12 +422,14 @@ TEST(Cache, PrefetchVictimChangesNoLookupVictimOrStat)
                 pre.prefetchVictim(lineIn(2, j % 2, i + j));
             ASSERT_EQ(pre.lookup(line) != nullptr,
                       plain.lookup(line) != nullptr);
-            CacheLine *a = plain.allocate(line, ev1, had1);
-            CacheLine *b = pre.allocate(line, ev2, had2);
+            CacheLine *a = plain.victimFor(line, had1);
+            CacheLine *b = pre.victimFor(line, had2);
             ASSERT_EQ(had1, had2) << i;
             if (had1) {
-                ASSERT_EQ(ev1.tag, ev2.tag) << i;
+                ASSERT_EQ(a->tag, b->tag) << i;
             }
+            plain.install(a, line);
+            pre.install(b, line);
             if (i % 3 == 0) {
                 a->txWriter = 5;
                 b->txWriter = 5;

@@ -118,9 +118,8 @@ TEST(MemCtrl, LogTrafficCountedSeparately)
 TEST(Cache, HitAfterFill)
 {
     Cache cache("t", KiB(4), 4);
-    CacheLine evicted;
     bool had = false;
-    cache.allocate(0x1000, evicted, had);
+    cache.install(cache.victimFor(0x1000, had), 0x1000);
     EXPECT_FALSE(had);
     EXPECT_NE(cache.lookup(0x1000), nullptr);
     EXPECT_EQ(cache.stats().hits, 1u);
@@ -133,15 +132,15 @@ TEST(Cache, LruVictimSelection)
     // Direct-mapped-ish: 2 ways, small cache; same-set addresses.
     Cache cache("t", 2 * kLineBytes, 2);
     ASSERT_EQ(cache.numSets(), 1u);
-    CacheLine ev;
     bool had;
-    cache.allocate(0x0, ev, had);
-    cache.allocate(0x40, ev, had);
+    cache.install(cache.victimFor(0x0, had), 0x0);
+    cache.install(cache.victimFor(0x40, had), 0x40);
     // Touch 0x0 so 0x40 becomes LRU.
     cache.lookup(0x0);
-    cache.allocate(0x80, ev, had);
+    CacheLine *slot = cache.victimFor(0x80, had);
     ASSERT_TRUE(had);
-    EXPECT_EQ(ev.tag, 0x40u);
+    EXPECT_EQ(slot->tag, 0x40u);
+    cache.install(slot, 0x80);
     EXPECT_NE(cache.peek(0x0), nullptr);
     EXPECT_EQ(cache.peek(0x40), nullptr);
 }
@@ -149,25 +148,25 @@ TEST(Cache, LruVictimSelection)
 TEST(Cache, TxAwareReplacementPrefersNonTxVictims)
 {
     Cache cache("t", 2 * kLineBytes, 2, true);
-    CacheLine ev;
     bool had;
-    CacheLine *a = cache.allocate(0x0, ev, had);
+    CacheLine *a = cache.victimFor(0x0, had);
+    cache.install(a, 0x0);
     a->txWriter = 42; // transactional
-    cache.allocate(0x40, ev, had);
+    cache.install(cache.victimFor(0x40, had), 0x40);
     cache.lookup(0x0); // 0x40 is LRU, but it is non-tx anyway
     // Touch order makes 0x40 MRU now; the tx line is LRU but protected.
     cache.lookup(0x40);
-    cache.allocate(0x80, ev, had);
+    CacheLine *slot = cache.victimFor(0x80, had);
     ASSERT_TRUE(had);
-    EXPECT_EQ(ev.tag, 0x40u) << "non-transactional victim preferred";
+    EXPECT_EQ(slot->tag, 0x40u) << "non-transactional victim preferred";
+    cache.install(slot, 0x80);
 }
 
 TEST(Cache, InvalidateRemovesLine)
 {
     Cache cache("t", KiB(4), 4);
-    CacheLine ev;
     bool had;
-    cache.allocate(0x1000, ev, had);
+    cache.install(cache.victimFor(0x1000, had), 0x1000);
     cache.invalidate(0x1000);
     EXPECT_EQ(cache.peek(0x1000), nullptr);
 }

@@ -165,7 +165,7 @@ TEST(SignatureIsolation, IsolationSweepManyLines)
         const Addr line =
             lineAlign(MemLayout::kDramBase + 0x200000 + i * 0x1000);
         lines.push_back(line);
-        victim->writeSet.insert(line);
+        victim->writeSet.emplace(line);
         victim->writeSig.insert(line);
     }
 
