@@ -222,8 +222,8 @@ struct PolicyDescriptor
             }
             if (d.kind == ConflictPolicyKind::Fixed) {
                 if (err)
-                    *err = "policy 'fixed' takes no knobs (it uses the "
-                           "system's own retry and backoff settings), "
+                    *err = "policy 'fixed' takes no knobs (its retry "
+                           "budget and backoff are fixed constants), "
                            "got '" + kv + "'";
                 return false;
             }

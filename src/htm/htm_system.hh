@@ -310,8 +310,6 @@ class HtmSystem
      */
     void setFaultInjector(FaultInjector *fi);
 
-    FaultInjector *faultInjector() const { return _faultInjector; }
-
     /**
      * Test-only protocol mutation modelling a missing persist fence:
      * redo-log record writes linger in a volatile log write buffer

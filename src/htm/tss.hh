@@ -130,19 +130,6 @@ class TxSummaryTable
         return probe(_global, key, all_active);
     }
 
-    /** Effective (power-of-two) member filter size in bits. */
-    unsigned sigBits() const { return _bits; }
-    /** Member filter hash count. */
-    unsigned sigHashes() const { return _hashes; }
-
-    void
-    reset()
-    {
-        for (auto &e : _domains)
-            e.dirty = true;
-        _global.dirty = true;
-    }
-
   private:
     struct Entry
     {
@@ -306,24 +293,6 @@ class Tss
     summaryMayContainAny(const Key &key)
     {
         return _summaries.mayContainAny(key, _active);
-    }
-
-    /** Effective member filter geometry (for building SigProbes). */
-    unsigned summarySigBits() const { return _summaries.sigBits(); }
-    unsigned summarySigHashes() const { return _summaries.sigHashes(); }
-
-    void
-    reset()
-    {
-        _byId.clear();
-        _active.clear();
-        for (auto &v : _activeByDomain)
-            v.clear();
-        for (auto &d : _domains) {
-            d.lockHolder = kNoTx;
-            d.waiters.clear();
-        }
-        _summaries.reset();
     }
 
   private:

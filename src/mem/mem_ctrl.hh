@@ -76,21 +76,8 @@ class MemCtrl
         return start + _readLat;
     }
 
-    /** Earliest tick at which a new request could start service. */
-    Tick nextFree() const { return _nextFree; }
-
     const Stats &stats() const { return _stats; }
     const std::string &name() const { return _name; }
-    Tick readLatency() const { return _readLat; }
-    Tick writeLatency() const { return _writeLat; }
-
-    /** Reset occupancy and statistics (between experiment runs). */
-    void
-    reset()
-    {
-        _nextFree = 0;
-        _stats = Stats{};
-    }
 
   private:
     std::string _name;

@@ -309,17 +309,6 @@ class RedoLogArea
 
     const Stats &stats() const { return _stats; }
 
-    void
-    reset()
-    {
-        _logs.clear();
-        _pool.clear();
-        _liveHighWater = 0;
-        _bytes = 0;
-        _nextCommitSeq = 1;
-        _stats = Stats{};
-    }
-
   private:
     static constexpr std::uint64_t kEntryBytes = kLineBytes + 16;
 

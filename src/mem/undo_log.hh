@@ -160,14 +160,6 @@ class UndoLogArea
 
     const Stats &stats() const { return _stats; }
 
-    void
-    reset()
-    {
-        _logs.clear();
-        _bytes = 0;
-        _stats = Stats{};
-    }
-
   private:
     /** Log record size: 64B data + address/txid metadata line. */
     static constexpr std::uint64_t kEntryBytes = kLineBytes + 16;

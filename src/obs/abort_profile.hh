@@ -104,13 +104,6 @@ class AbortProfiler
         _commit.add(on_chip, overflowed, protocol, log_drain);
     }
 
-    const StageTicks &abortStage(AbortCause c) const
-    {
-        return _abort[static_cast<unsigned>(c) % kCauses];
-    }
-
-    const StageTicks &commitStage() const { return _commit; }
-
     std::uint64_t
     totalAborts() const
     {

@@ -85,12 +85,6 @@ class Distribution
         return _hist;
     }
 
-    void
-    reset()
-    {
-        *this = Distribution{};
-    }
-
     /** Merge another distribution into this one (Chan's algorithm). */
     void
     merge(const Distribution &o)

@@ -61,9 +61,7 @@ class RequestTracker
 
     std::uint64_t requests() const { return _all.requests; }
     const Distribution &queueWaitNs() const { return _all.queueWait; }
-    const Distribution &execNs() const { return _all.exec; }
     const Distribution &sojournNs() const { return _all.sojourn; }
-    const Distribution &retriesPerRequest() const { return _all.retries; }
 
   private:
     struct Lat

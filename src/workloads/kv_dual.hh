@@ -66,9 +66,6 @@ class DualKv
     /** Background: drain the log into durable NVM transactions. */
     CoTask<void> background(TxContext &ctx, unsigned idx, RunControl &rc);
 
-    SimHashMap &dramMap() { return *_dramMap; }
-    SimHashMap &nvmMap() { return *_nvmMap; }
-
     /**
      * After a full run (log drained) both maps must hold the same keys
      * (values differ: each side stores its own blob addresses).

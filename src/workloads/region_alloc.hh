@@ -46,14 +46,6 @@ class RegionAllocator
         return base;
     }
 
-    std::uint64_t
-    reservedBytes(MemKind kind) const
-    {
-        return kind == MemKind::Dram
-                   ? _dramNext - (MemLayout::kDramBase + MiB(1))
-                   : _nvmNext - (MemLayout::kNvmBase + MiB(1));
-    }
-
   private:
     Addr _dramNext;
     Addr _nvmNext;

@@ -75,7 +75,6 @@ class TxAllocator
         return sys.setupRead64(cursorAddr()) - _arenaBase;
     }
 
-    Addr arenaBase() const { return _arenaBase; }
     Addr limit() const { return _limit; }
 
   private:

@@ -33,8 +33,6 @@ TEST(Tss, AddRemoveAndDomainIndexing)
     tss.remove(&t1);
     EXPECT_EQ(tss.byId(1), nullptr);
     EXPECT_EQ(tss.activeInDomain(d0).size(), 1u);
-    tss.reset();
-    EXPECT_TRUE(tss.active().empty());
 }
 
 TEST(Rng, DeterministicAndBounded)

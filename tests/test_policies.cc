@@ -378,11 +378,14 @@ TEST(Policies, PolicySpecValidationRejectsBadKnobs)
     EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries", &d, &err));
     EXPECT_NE(err.find("malformed policy knob"), std::string::npos)
         << err;
-    // Fixed reads HtmPolicy's own retry/backoff knobs, so spec knobs on
-    // it would be silently ignored.
+    // Fixed uses the ConflictRules::kFixed* constants, so spec knobs on
+    // it would be silently ignored. The message names those constants,
+    // not the HtmPolicy settings that once held them.
     EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries=3", &d, &err));
     EXPECT_NE(err.find("policy 'fixed' takes no knobs"), std::string::npos)
         << err;
+    EXPECT_NE(err.find("fixed constants"), std::string::npos) << err;
+    EXPECT_EQ(err.find("system's own"), std::string::npos) << err;
     EXPECT_FALSE(PolicyDescriptor::parse("fixed:retries=0,base=1,max=1",
                                          &d, &err));
     EXPECT_NE(err.find("policy 'fixed' takes no knobs"), std::string::npos)
