@@ -174,7 +174,9 @@ void
 HtmSystem::handleL1Eviction(CoreId core, const CacheLine &ev, Tick t)
 {
     const Addr line = ev.tag;
-    CacheLine *s = _llc.peek(line);
+    // An L1 line's sharers field is its directory line's LLC slot.
+    CacheLine *s = _llc.atSlot(ev.sharers, line);
+    assert(s == _llc.peek(line));
     if (s) {
         s->sharers &= ~(1ull << core);
         if (s->ownerCore == core)
@@ -453,6 +455,9 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 handleL1Eviction(core, *l, t);
             l1.install(l, line);
         }
+        // Remember the directory line's slot, so the L1 eviction
+        // handler finds it without searching the LLC set.
+        l->sharers = _llc.slotOf(*s);
         const bool sole = s->sharers == (1ull << core);
         l->exclusive = is_write || (sole && s->ownerCore == kNoCore) ||
                        s->ownerCore == core;

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "check/fault_injector.hh"
 #include "obs/tracer.hh"
@@ -29,6 +31,13 @@ HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
     assert(mcfg.cores >= 1 && mcfg.cores <= 64 &&
            "sharer bitmask limits the model to 64 cores");
     assert(_policy.conflict.validate() && "invalid conflict policy");
+    // SigProbe has room for kMaxHashes (word, mask) pairs; more would
+    // write past them.
+    if (policy.signatureHashes > SigProbe::kMaxHashes)
+        throw std::invalid_argument(
+            "signature hashes " + std::to_string(policy.signatureHashes) +
+            " exceed the supported maximum of " +
+            std::to_string(SigProbe::kMaxHashes));
     _conflict = ConflictRules::of(_policy.conflict);
     // Domain summary filters share the per-transaction signature
     // geometry so unionWith() stays a straight word-wise OR.
@@ -286,7 +295,7 @@ HtmSystem::suspendTx(CoreId core)
     Cache &l1 = *_l1s[core];
     l1.forEachLineSorted([&](CacheLine &cl) {
         const Addr line = cl.tag;
-        CacheLine *s = _llc.peek(line);
+        CacheLine *s = _llc.atSlot(cl.sharers, line);
         if (s) {
             s->sharers &= ~(1ull << core);
             if (s->ownerCore == core)

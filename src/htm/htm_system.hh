@@ -162,6 +162,9 @@ struct AccessResult
 class HtmSystem
 {
   public:
+    /** @throws std::invalid_argument if @p policy asks for more than
+     *  SigProbe::kMaxHashes signature hashes, or on a bad cache
+     *  geometry. */
     HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy);
     ~HtmSystem();
 
@@ -426,8 +429,9 @@ class HtmSystem
      * filter geometry. The conflict walk, the summary filters and every
      * signature insert share one probe per line; a small direct-mapped
      * cache keyed on the line number skips the splitmix64 hash chain
-     * for repeated touches of hot lines. Pure memoization: the returned
-     * probe is bit-identical to a freshly built one. Only valid when a
+     * for repeated touches of hot lines, and a miss rebuilds the slot's
+     * probe in place. Pure memoization: the returned probe is
+     * bit-identical to a freshly built one. Only valid when a
      * signature mode is active (_sigBits != 0).
      */
     const SigProbe &
@@ -437,7 +441,7 @@ class HtmSystem
             _probeCache[lineNumber(line) & (kProbeCacheSize - 1)];
         if (e.line != line) {
             e.line = line;
-            e.probe = SigProbe(line, _sigBits, _sigHashes);
+            e.probe.reset(line, _sigBits, _sigHashes);
         }
         return e.probe;
     }

@@ -63,17 +63,30 @@ sigLineSeed(Addr line_base)
 class SigProbe
 {
   public:
-    /** Upper bound on hash functions a probe can precompute. */
-    static constexpr unsigned kMaxHashes = 32;
+    /**
+     * Upper bound on hash functions a probe can precompute: the largest
+     * count any figure uses (the hash ablation's 8). HtmSystem rejects
+     * a policy with more.
+     */
+    static constexpr unsigned kMaxHashes = 8;
 
     SigProbe() = default;
 
     /** Build the probe for @p line_base under (@p bits, @p hashes);
      *  @p bits must already be the effective (power-of-two) size. */
     SigProbe(Addr line_base, unsigned bits, unsigned hashes)
-        : _bits(bits)
+    {
+        reset(line_base, bits, hashes);
+    }
+
+    /** Rebuild this probe in place, as SigProbe(@p line_base, @p bits,
+     *  @p hashes) would build it: no temporary, no whole-object copy. */
+    void
+    reset(Addr line_base, unsigned bits, unsigned hashes)
     {
         assert(hashes <= kMaxHashes);
+        _bits = bits;
+        _count = 0;
         std::uint64_t h = sigLineSeed(line_base);
         for (unsigned i = 0; i < hashes; ++i) {
             const std::uint64_t bit = splitmix64(h) & (bits - 1);

@@ -93,10 +93,13 @@ class MemOp
  * parallelism). Used by the memory-intensive background applications
  * whose LLC pressure the paper's consolidation experiments rely on.
  *
- * Nearly every burst access misses the L1 and the LLC and evicts an LLC
- * line, so before access i the burst prefetches the host memory that
- * access i + kPrefetchAhead will read: the LLC tag set and its LRU line
- * (Cache::prefetchVictim). That changes no simulated state.
+ * Nearly every burst access misses the L1 and the LLC, evicts an LLC
+ * line and evicts an L1 line, so before access i the burst prefetches
+ * the host memory that access i + kPrefetchAhead will read: the LLC tag
+ * set and its LRU line (Cache::prefetchVictim), and the directory line
+ * of the L1 set's LRU line, at the LLC slot that line remembers
+ * (Cache::lruLineFor, Cache::prefetchSlot). That changes no simulated
+ * state.
  */
 class BurstOp
 {
@@ -118,9 +121,14 @@ class BurstOp
     {
         Tick done = _sys.eventQueue().now();
         const Cache &llc = _sys.llc();
+        const Cache &l1 = _sys.l1(_core);
         for (unsigned i = 0; i < _lines; ++i) {
-            if (i + kPrefetchAhead < _lines)
-                llc.prefetchVictim(_base + (i + kPrefetchAhead) * kLineBytes);
+            if (i + kPrefetchAhead < _lines) {
+                const Addr ahead = _base + (i + kPrefetchAhead) * kLineBytes;
+                llc.prefetchVictim(ahead);
+                if (const CacheLine *v = l1.lruLineFor(ahead))
+                    llc.prefetchSlot(v->sharers);
+            }
             const AccessResult r =
                 _sys.issueAccess(_core, _domain, _base + i * kLineBytes,
                                  _isWrite, true, 0);

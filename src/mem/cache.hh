@@ -7,7 +7,8 @@
  * cache line therefore carries a tag, dirty bit, transactional
  * read/write markers and — for the shared LLC, which embeds the
  * directory — sharer/owner tracking with the paper's Tx-bit, Tx-Owner
- * and Tx-Sharer fields (Section IV-D).
+ * and Tx-Sharer fields (Section IV-D). An L1 line reuses the sharer
+ * field to remember which LLC slot holds its directory line.
  */
 
 #ifndef UHTM_MEM_CACHE_HH
@@ -28,7 +29,9 @@ namespace uhtm
 {
 
 /**
- * Metadata of one cache line. Directory fields are used by the LLC.
+ * Metadata of one cache line. The directory fields (sharers,
+ * ownerCore) belong to the LLC; in an L1, sharers holds the LLC slot
+ * of the line's directory entry instead (see Cache::atSlot).
  *
  * Exactly one aligned host cache line, so the LLC's victim costs one
  * host miss and BurstOp can prefetch it with one prefetch.
@@ -49,12 +52,15 @@ struct alignas(64) CacheLine
      * Transactions that transactionally read this line (directory
      * Tx-Sharer list; in an L1 at most the local transaction).
      * Small-buffer optimized: nearly all lines have <= 2 transactional
-     * readers, so the common case never heap-allocates — LLC fills and
-     * evictions copy whole CacheLine values on the hot path.
+     * readers, so the common case never heap-allocates.
      */
     SmallVec<TxId, 2> txReaders;
 
-    /** Directory: bitmask of cores holding an L1 copy. */
+    /**
+     * Directory: bitmask of cores holding an L1 copy. In an L1: the
+     * LLC slot of this line's directory entry, a hint for
+     * Cache::atSlot set when the L1 copy is filled or upgraded.
+     */
     std::uint64_t sharers = 0;
 
     /** Directory: core whose L1 holds the line modified (exclusive). */
@@ -165,6 +171,42 @@ class Cache
     const CacheLine *peek(Addr line_base) const;
 
     /**
+     * peek(@p line_base), tried first at @p slot: an earlier slotOf()
+     * of the line, which may be stale. A stale hint costs a set search,
+     * never a wrong answer.
+     */
+    CacheLine *
+    atSlot(std::size_t slot, Addr line_base)
+    {
+        if (slot < _tags.size() && _tags[slot] == line_base)
+            return &_lines[slot];
+        return peek(line_base);
+    }
+
+    /** Slot of the resident @p line, valid until it leaves the cache. */
+    std::size_t
+    slotOf(const CacheLine &line) const
+    {
+        return static_cast<std::size_t>(&line - _lines.data());
+    }
+
+    /**
+     * The line at the LRU end of @p line_base's set, or nullptr while
+     * the set has a free way: the victim allocating @p line_base would
+     * pick in a transaction-agnostic cache. Changes no state.
+     */
+    const CacheLine *
+    lruLineFor(Addr line_base) const
+    {
+        const std::uint64_t set = setIndex(line_base);
+        const Addr *tags = &_tags[set * _ways];
+        for (unsigned w = 0; w < _ways; ++w)
+            if (tags[w] == kInvalidTag)
+                return nullptr;
+        return &_lines[set * _ways + lruWayAt(_order[set], _ways - 1)];
+    }
+
+    /**
      * Allocation, step 1: choose and return the victim way
      * for @p line_base (which must not be present). Eviction statistics
      * are counted here; the slot's old contents are left intact so the
@@ -207,6 +249,20 @@ class Cache
             __builtin_prefetch(tags + w);
         __builtin_prefetch(
             &_lines[set * _ways + lruWayAt(_order[set], _ways - 1)]);
+    }
+
+    /**
+     * Prefetch what atSlot(@p slot, ...) reads when the hint is right:
+     * the slot's tag and line. Ignores an out-of-range @p slot.
+     * Always inlined, as prefetchVictim().
+     */
+    [[gnu::always_inline]] void
+    prefetchSlot(std::size_t slot) const
+    {
+        if (slot < _tags.size()) {
+            __builtin_prefetch(&_tags[slot]);
+            __builtin_prefetch(&_lines[slot]);
+        }
     }
 
     /** Invalidate @p line_base if present. */
@@ -273,10 +329,6 @@ class Cache
     setIndex(Addr line_base) const
     {
         return lineNumber(line_base) & (_numSets - 1);
-    }
-    std::size_t slotOf(const CacheLine &line) const
-    {
-        return static_cast<std::size_t>(&line - _lines.data());
     }
     /** Way of @p set holding @p line_base, or _ways if none. */
     unsigned wayOf(std::uint64_t set, Addr line_base) const;

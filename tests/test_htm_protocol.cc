@@ -4,10 +4,15 @@
  * waits, overflow-list walks, commit marks), abort-protocol costs,
  * DRAM-cache interaction at commit, stale-metadata pruning, the
  * write-buffer read-your-own-writes semantics, the lost-update audit
- * at commit and the inclusion audit at transactional L1 hits.
+ * at commit, the inclusion audit at transactional L1 hits, the L1
+ * lines' LLC-slot hints and the signature-geometry limit.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "htm/tx_context.hh"
 
@@ -203,6 +208,114 @@ TEST(Protocol, FootprintAccountingCountsUnionOfSets)
         << "read+write of one line counts once";
     EXPECT_EQ(tx->reads, 2u);
     EXPECT_EQ(tx->writes, 1u);
+}
+
+/**
+ * First L1 line on any core whose directory line is missing or sits in
+ * another LLC slot than the line's hint says, described; "" if none.
+ */
+std::string
+staleSlotHint(HtmSystem &sys)
+{
+    Cache &llc = sys.llc();
+    std::ostringstream bad;
+    for (CoreId c = 0; c < sys.machine().cores && bad.tellp() == 0; ++c) {
+        sys.l1(c).forEachLine([&](CacheLine &cl) {
+            if (bad.tellp() != 0)
+                return;
+            const CacheLine *dir = llc.peek(cl.tag);
+            if (!dir || cl.sharers != llc.slotOf(*dir) ||
+                llc.atSlot(cl.sharers, cl.tag) != dir)
+                bad << "core " << c << " line 0x" << std::hex << cl.tag
+                    << std::dec << ": hint " << cl.sharers << ", LLC slot "
+                    << (dir ? std::to_string(llc.slotOf(*dir)) : "none");
+        });
+    }
+    return bad.str();
+}
+
+TEST(L1SlotHint, MatchesDirectoryUnderRandomTraffic)
+{
+    // Each L1 line remembers the LLC slot of its directory line, and
+    // the L1-eviction and suspend paths look there first. Random
+    // concurrent transactions (commits, aborts, a suspend/resume flush,
+    // non-transactional traffic, tx-aware LLC replacement) must never
+    // leave a hint that misses its line.
+    MachineConfig cfg = MachineConfig::tiny();
+    cfg.txAwareReplacement = true;
+    EventQueue eq;
+    HtmSystem sys(eq, cfg, HtmPolicy::uhtmOpt(2048));
+    const DomainId dom = sys.createDomain("p0");
+    // Twice the LLC's lines in each region: both caches keep evicting.
+    const std::uint64_t span = 2 * sys.llc().capacityLines();
+    Rng rng(17);
+    TxId parked = kNoTx;
+
+    for (int step = 0; step < 12000; ++step) {
+        const CoreId core = static_cast<CoreId>(rng.below(cfg.cores));
+        const std::uint64_t r = rng.below(1000);
+        if (sys.abortPending(core)) {
+            sys.issueAbort(core);
+        } else if (!sys.currentTx(core) && parked != kNoTx && r < 20) {
+            sys.resumeTx(core, parked);
+            parked = kNoTx;
+        } else if (!sys.currentTx(core) && r < 700) {
+            sys.beginTx(core, dom, 0);
+        } else if (sys.currentTx(core) && parked == kNoTx && r < 4) {
+            parked = sys.suspendTx(core);
+        } else if (sys.currentTx(core) && r < (core == 0 ? 6 : 60)) {
+            sys.issueCommit(core); // core 0 runs long, overflowing txs
+        } else {
+            const Addr region = rng.below(2) ? MemLayout::kDramBase
+                                             : MemLayout::kNvmBase;
+            sys.issueAccess(core, dom,
+                            region + 0x40000 + rng.below(span) * kLineBytes,
+                            rng.below(3) == 0, false, rng.next());
+        }
+        eq.run();
+        ASSERT_EQ(staleSlotHint(sys), "") << "after step " << step;
+    }
+
+    // The traffic reached every path the hint has to survive.
+    const HtmStats &st = sys.stats();
+    EXPECT_GT(st.commits, 0u);
+    EXPECT_GT(st.totalAborts(), 0u);
+    EXPECT_GT(st.contextSwitches, 0u);
+    EXPECT_GT(st.llcTxEvictions, 0u);
+    EXPECT_GT(sys.llc().stats().evictions, 0u);
+    for (CoreId c = 0; c < cfg.cores; ++c)
+        EXPECT_GT(sys.l1(c).stats().evictions, 0u) << "core " << c;
+}
+
+TEST(SignatureGeometry, MoreHashesThanAProbeHoldsAreRejected)
+{
+    // A SigProbe holds kMaxHashes (word, mask) pairs; the machine must
+    // refuse a policy that would overrun them, in every build type.
+    for (HtmPolicy pol :
+         {HtmPolicy::uhtmOpt(2048), HtmPolicy::signatureOnly(2048),
+          HtmPolicy::ideal()}) {
+        EventQueue eq;
+        pol.signatureHashes = SigProbe::kMaxHashes + 1;
+        try {
+            HtmSystem sys(eq, MachineConfig::tiny(), pol);
+            ADD_FAILURE() << "accepted " << pol.signatureHashes << " hashes";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(pol.signatureHashes)),
+                      std::string::npos)
+                << what;
+        }
+        // The limit itself is accepted and works.
+        pol.signatureHashes = SigProbe::kMaxHashes;
+        HtmSystem sys(eq, MachineConfig::tiny(), pol);
+        const DomainId dom = sys.createDomain("p0");
+        sys.beginTx(0, dom, 0);
+        sys.issueAccess(0, dom, kNvm, true, false, 9);
+        eq.run();
+        sys.issueCommit(0);
+        eq.run();
+        EXPECT_EQ(sys.setupRead64(kNvm), 9u);
+    }
 }
 
 } // namespace

@@ -213,9 +213,9 @@ INSTANTIATE_TEST_SUITE_P(VectorAndScalarPaths, UnionPaths,
 
 TEST(SigProbe, MergesDuplicateWordsAtHighHashCounts)
 {
-    // 32 hashes into a one-word filter: every bit position lands in
-    // word 0, so the probe must collapse to a single (word, mask)
-    // pair rather than 32 redundant tests.
+    // kMaxHashes hashes into a one-word filter: every bit position
+    // lands in word 0, so the probe must collapse to a single
+    // (word, mask) pair rather than kMaxHashes redundant tests.
     const unsigned bits = BloomSignature::effectiveBits(64);
     const SigProbe p(lineAlign(0x1234560), bits, SigProbe::kMaxHashes);
     EXPECT_EQ(p.count(), 1u);
@@ -290,6 +290,41 @@ TEST(Signature, SaturatedFilterHitsEverything)
     for (int i = 0; i < 1000; ++i)
         hits += sig.mayContain(lineAlign(rng.next()));
     EXPECT_GT(hits, 950u) << "saturated filters are the paper's 99% case";
+}
+
+TEST(SigProbe, ResetMatchesFreshProbe)
+{
+    // One probe rebuilt in place across lines, filter sizes and hash
+    // counts, from many hashes to few and back, must equal a freshly
+    // built probe each time: reset() may keep nothing of the old one.
+    Rng rng(53);
+    std::vector<unsigned> counts;
+    for (unsigned h = SigProbe::kMaxHashes; h >= 1; --h)
+        counts.push_back(h);
+    for (unsigned h = 2; h <= SigProbe::kMaxHashes; ++h)
+        counts.push_back(h);
+    SigProbe reused;
+    for (unsigned raw : {64u, 128u, 1024u, 2048u, 8192u}) {
+        const unsigned eb = BloomSignature::effectiveBits(raw);
+        for (unsigned hashes : counts) {
+            BloomSignature sig(raw, hashes);
+            for (int i = 0; i < 40; ++i)
+                sig.insert(lineAlign(rng.next()));
+            for (int i = 0; i < 20; ++i) {
+                const Addr line = lineAlign(rng.next());
+                reused.reset(line, eb, hashes);
+                const SigProbe fresh(line, eb, hashes);
+                ASSERT_EQ(reused.bits(), fresh.bits());
+                ASSERT_EQ(reused.count(), fresh.count());
+                for (unsigned j = 0; j < fresh.count(); ++j) {
+                    ASSERT_EQ(reused.wordAt(j), fresh.wordAt(j));
+                    ASSERT_EQ(reused.maskAt(j), fresh.maskAt(j));
+                }
+                EXPECT_EQ(sig.mayContain(reused), sig.mayContain(fresh));
+                EXPECT_EQ(sig.mayContain(reused), sig.mayContain(line));
+            }
+        }
+    }
 }
 
 } // namespace
