@@ -261,6 +261,15 @@ ResultSink::timingJson(const std::vector<JobResult> &results,
         w.field("host_seconds", r.hostSeconds);
         w.field("events_executed", r.metrics.hostEventsExecuted);
         w.field("commits", r.metrics.committedTxs);
+        const HtmSystem::MemoryLedger &mem = r.metrics.memory;
+        w.key("memory");
+        w.beginObject();
+        w.field("store_bytes", mem.storeBytes);
+        w.field("durable_lag_bytes", mem.durableLagBytes);
+        w.field("redo_records", mem.redo.records);
+        w.field("redo_record_bytes", mem.redo.recordBytes);
+        w.field("redo_reserved_bytes", mem.redo.reservedBytes);
+        w.endObject();
         w.endObject();
     }
     w.endArray();

@@ -99,7 +99,9 @@ class ResultSink
      * Serialize the host-timing sidecar: sweep wall clock, job and
      * thread counts, simulated events executed and events/sec, then a
      * "per_job" array in submission order (key, host_seconds,
-     * events_executed, commits). The times are host-dependent, so the
+     * events_executed, commits, and a "memory" ledger of the bytes
+     * held at job end by the architectural store, the durable lag and
+     * the redo-log records). The times are host-dependent, so the
      * file is never golden-compared; its key set and row order are
      * the same for every --jobs value.
      */

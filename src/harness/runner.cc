@@ -102,6 +102,7 @@ Runner::run()
     m.endTick = end_tick;
     m.simSeconds = secondsFromTicks(end_tick);
     m.hostEventsExecuted = _eq.executed();
+    m.memory = _sys.memoryLedger();
     m.htm = _sys.stats();
     m.committedTxs = m.htm.commits;
     m.committedOps = _control.opsCommitted;

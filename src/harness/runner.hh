@@ -79,6 +79,10 @@ struct RunMetrics
      *  frozen bench JSON. */
     std::uint64_t hostEventsExecuted = 0;
 
+    /** Host-side: bytes held by the machine's largest owners at the
+     *  end of the run (TIMING sidecar only, like hostEventsExecuted). */
+    HtmSystem::MemoryLedger memory;
+
     /** Per-domain operation throughput over the domain's own runtime
      *  (fixed-work runs end at different times per benchmark). */
     double

@@ -6,12 +6,32 @@
  */
 
 #include <cassert>
+#include <cstring>
 
 #include "htm/htm_system.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
 {
+
+namespace
+{
+
+/** Store @p wdata into @p bytes at word offset @p off, or into every
+ *  word for a whole-line store. */
+void
+storeInto(std::array<std::uint8_t, kLineBytes> &bytes, Addr off,
+          bool whole_line, std::uint64_t wdata)
+{
+    if (whole_line) {
+        for (unsigned i = 0; i < kLineBytes; i += 8)
+            std::memcpy(bytes.data() + i, &wdata, 8);
+    } else {
+        std::memcpy(bytes.data() + off, &wdata, 8);
+    }
+}
+
+} // namespace
 
 HtmSystem::Resolution
 HtmSystem::onChipConflictCheck(CacheLine &s, TxDesc *req, bool is_write)
@@ -486,12 +506,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 it->second.preImage = it->second.image;
             }
             auto &buf = it->second.image;
-            if (whole_line) {
-                for (unsigned i = 0; i < kLineBytes; i += 8)
-                    std::memcpy(buf.data() + i, &wdata, 8);
-            } else {
-                std::memcpy(buf.data() + (word - line), &wdata, 8);
-            }
+            storeInto(buf, word - line, whole_line, wdata);
             if (MemLayout::kindOf(line) == MemKind::Nvm) {
                 if (_redoLog.full()) {
                     // Trap the OS to expand the log area (paper IV-E).
@@ -530,14 +545,13 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
         }
     } else {
         if (is_write) {
-            if (whole_line) {
-                for (unsigned i = 0; i < kLineBytes; i += 8)
-                    _store.write64(line + i, wdata);
-            } else {
-                _store.write64(word, wdata);
-            }
+            std::array<std::uint8_t, kLineBytes> old, now;
+            _store.readLine(line, old.data());
+            now = old;
+            storeInto(now, word - line, whole_line, wdata);
+            publishLine(line, old, now);
             if (MemLayout::kindOf(line) == MemKind::Nvm)
-                scheduleDurableInPlaceWrite(line, t);
+                enqueueDurableWrite(line, t, now);
         } else {
             data = _store.read64(word);
         }

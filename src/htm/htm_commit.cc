@@ -112,7 +112,7 @@ HtmSystem::issueCommit(CoreId core)
         _store.readLine(line, cur.data());
         if (std::memcmp(w.preImage.data(), cur.data(), kLineBytes) != 0)
             ++_stats.lostUpdates;
-        _store.writeLine(line, w.image.data());
+        publishLine(line, cur, w.image);
     }
     // Report the commit before the DRAM-cache fills below: their
     // evictions can queue in-place writes of this transaction's own

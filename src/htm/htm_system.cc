@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -123,8 +124,14 @@ HtmSystem::flushDurableWrites(Tick upTo)
                      [](const DurablePending &a, const DurablePending &b) {
                          return a.due < b.due;
                      });
-    for (auto it = _durablePending.begin(); it != mid; ++it)
-        _durableNvm.writeLine(it->line, it->bytes.data());
+    for (auto it = _durablePending.begin(); it != mid; ++it) {
+        DurableNvmView::Line cur;
+        _store.readLine(it->line, cur.data());
+        if (cur == it->bytes)
+            _durableLag.erase(it->line);
+        else
+            _durableLag[it->line] = it->bytes;
+    }
     _durablePending.erase(_durablePending.begin(), mid);
     _durableMinDue = ~Tick(0);
     for (const DurablePending &p : _durablePending)
@@ -346,9 +353,19 @@ HtmSystem::abortPending(CoreId core) const
 void
 HtmSystem::setupWrite64(Addr a, std::uint64_t v)
 {
+    assert((a & 7) == 0 && "setup writes are word-aligned");
     _store.write64(a, v);
-    if (MemLayout::kindOf(a) == MemKind::Nvm)
-        _durableNvm.write64(a, v);
+    // The word is durable at once. A line without a lag entry stays
+    // durable as stored; a lagging line takes the word into its lag.
+    const Addr line = lineAlign(a);
+    auto it = _durableLag.find(line);
+    if (it != _durableLag.end()) {
+        std::memcpy(it->second.data() + (a - line), &v, 8);
+        DurableNvmView::Line cur;
+        _store.readLine(line, cur.data());
+        if (cur == it->second)
+            _durableLag.erase(line);
+    }
 }
 
 void
@@ -376,11 +393,16 @@ HtmSystem::setFaultInjector(FaultInjector *fi)
 BackingStore
 HtmSystem::recoverAfterCrash()
 {
-    flushDurableWrites(durableHorizon());
-    BackingStore img;
-    img.copyFrom(_durableNvm);
+    BackingStore img = durableNvm().image();
     _redoLog.replayCommitted(img, _eq.now());
     return img;
+}
+
+HtmSystem::MemoryLedger
+HtmSystem::memoryLedger() const
+{
+    return {_store.pageCount() * BackingStore::kPageBytes,
+            _durableLag.size() * kLineBytes, _redoLog.footprint()};
 }
 
 void
@@ -433,6 +455,19 @@ HtmSystem::scheduleDurableInPlaceWrite(Addr line, Tick at)
     std::array<std::uint8_t, kLineBytes> bytes;
     _store.readLine(line, bytes.data());
     enqueueDurableWrite(line, at, bytes);
+}
+
+void
+HtmSystem::publishLine(Addr line, const DurableNvmView::Line &old,
+                       const DurableNvmView::Line &now)
+{
+    if (MemLayout::kindOf(line) == MemKind::Nvm) {
+        // A line without an entry was durable as stored: @p old.
+        auto it = _durableLag.emplace(line, old).first;
+        if (it->second == now)
+            _durableLag.erase(line);
+    }
+    _store.writeLine(line, now.data());
 }
 
 void

@@ -295,13 +295,15 @@ class HtmSystem
      * oracle. Applies the queued in-place writes first (see
      * flushDurableWrites): all of them once the run has drained, only
      * those due by the current tick while events are still pending or
-     * a crash stopped the queue. Cheap when nothing is due.
+     * a crash stopped the queue. Cheap when nothing is due. The view
+     * reads the store and the durable lag, so it is valid until the
+     * next access, commit or setup write.
      */
-    const BackingStore &
+    DurableNvmView
     durableNvm()
     {
         flushDurableWrites(durableHorizon());
-        return _durableNvm;
+        return {_store, _durableLag};
     }
 
     /**
@@ -337,7 +339,8 @@ class HtmSystem
     const MachineConfig &machine() const { return _mcfg; }
     const HtmPolicy &policy() const { return _policy; }
     const ConflictRules &conflictRules() const { return _conflict; }
-    BackingStore &store() { return _store; }
+    /** Architectural state, read-only: every write goes through the
+     *  access, commit or setup paths, which keep the durable lag. */
     const BackingStore &store() const { return _store; }
     Cache &l1(CoreId c) { return *_l1s[c]; }
     Cache &llc() { return _llc; }
@@ -393,6 +396,17 @@ class HtmSystem
      * cold, empty LLC (the paper measures steady state).
      */
     void prewarmLlc(Addr base, std::uint64_t lines);
+
+    /** Host memory held by the machine's largest owners, read once at
+     *  the end of a job for the TIMING sidecar's ledger. */
+    struct MemoryLedger
+    {
+        std::uint64_t storeBytes = 0;      ///< store pages x 4 KiB
+        std::uint64_t durableLagBytes = 0; ///< lag lines x 64 B
+        RedoLogArea::Footprint redo;
+    };
+
+    MemoryLedger memoryLedger() const;
 
     /** @} */
 
@@ -478,6 +492,15 @@ class HtmSystem
     void scheduleDurableInPlaceWrite(Addr line, Tick at);
 
     /**
+     * Overwrite @p line of the architectural store, whose bytes are
+     * @p old, with @p now. The one store write of the access and commit
+     * paths: for an NVM line it first keeps the durable lag exact (the
+     * durable bytes stay those of @p old until a durable write lands).
+     */
+    void publishLine(Addr line, const DurableNvmView::Line &old,
+                     const DurableNvmView::Line &now);
+
+    /**
      * Queue a durable in-place NVM image update of @p bytes at tick
      * @p due; the only way the durable image changes after setup. No
      * event is scheduled: entries append to a batch that is applied in
@@ -491,7 +514,9 @@ class HtmSystem
                              const std::array<std::uint8_t, kLineBytes> &bytes);
 
     /** Apply queued durable writes with due <= @p upTo, in (due, seq)
-     *  order: of two writes to a line, the later-due one wins. */
+     *  order: of two writes to a line, the later-due one wins. A write
+     *  equal to the store's line drops the line's lag entry; any other
+     *  write becomes it. */
     void flushDurableWrites(Tick upTo);
 
     /**
@@ -520,8 +545,10 @@ class HtmSystem
     HtmPolicy _policy;
     ConflictRules _conflict;
 
-    BackingStore _store;      ///< architectural (committed) state
-    BackingStore _durableNvm; ///< durable in-place NVM image
+    BackingStore _store; ///< architectural (committed) state
+    /** Durable bytes of the NVM lines whose durable image lags _store;
+     *  every other NVM line is durable as stored (DurableNvmView). */
+    DurableNvmView::Lag _durableLag;
 
     std::vector<std::unique_ptr<Cache>> _l1s;
     Cache _llc;

@@ -239,7 +239,8 @@ class BloomSignature
 #ifdef UHTM_SIG_VEC
         // Whole-register ORs via GNU vector extensions; memcpy in and
         // out keeps the loads/stores alignment-agnostic.
-        for (; i + 4 <= n; i += 4) {
+        const std::size_t whole = n - n % 4;
+        for (; i < whole; i += 4) {
             SigVec a, b;
             __builtin_memcpy(&a, &_words[i], sizeof(a));
             __builtin_memcpy(&b, &o._words[i], sizeof(b));

@@ -20,10 +20,12 @@
 #define UHTM_MEM_BACKING_STORE_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 
+#include "mem/layout.hh"
 #include "sim/line_map.hh"
 #include "sim/types.hh"
 
@@ -163,16 +165,19 @@ class BackingStore
     }
 
     /**
-     * Deep-copy another store's contents into this one (used by crash
-     * injection to snapshot durable state).
+     * Replace this store's contents with a deep copy of @p o's pages
+     * at or above @p from (crash recovery copies the NVM half of the
+     * architectural store; see DurableNvmView::image).
      */
     void
-    copyFrom(const BackingStore &o)
+    copyFrom(const BackingStore &o, Addr from = 0)
     {
         _pages.clear();
         dropMemo();
-        for (const auto &[base, page] : o._pages)
-            _pages.emplace(base, std::make_unique<Page>(*page));
+        for (const auto &[base, page] : o._pages) {
+            if (base >= from)
+                _pages.emplace(base, std::make_unique<Page>(*page));
+        }
     }
 
   private:
@@ -225,6 +230,77 @@ class BackingStore
     /** MRU page memo (mutable: reads refresh it too). */
     mutable Addr _memoBase = kNoPage;
     mutable Page *_memoPage = nullptr;
+};
+
+/**
+ * Read-only view of the durable in-place NVM image.
+ *
+ * In-place NVM is updated lazily, on DRAM-cache eviction, so the
+ * durable image differs from the architectural store only in lines
+ * whose newer bytes are still dirty in the DRAM cache or queued for
+ * write-back. The image is therefore held as that difference: a line
+ * with a *lag* entry has those durable bytes, every other NVM line has
+ * the store's bytes. DRAM addresses read 0: DRAM keeps nothing across
+ * a power failure.
+ */
+class DurableNvmView
+{
+  public:
+    using Line = std::array<std::uint8_t, kLineBytes>;
+    /** NVM line base -> durable bytes, for lines that differ. */
+    using Lag = LineMap<Line>;
+
+    DurableNvmView(const BackingStore &store, const Lag &lag)
+        : _store(store), _lag(lag)
+    {
+    }
+
+    /** Copy one durable line out (64 bytes at line-aligned @p a). */
+    void
+    readLine(Addr line_base, std::uint8_t out[kLineBytes]) const
+    {
+        assert((line_base & (kLineBytes - 1)) == 0);
+        if (MemLayout::kindOf(line_base) != MemKind::Nvm) {
+            std::memset(out, 0, kLineBytes);
+            return;
+        }
+        auto it = _lag.find(line_base);
+        if (it != _lag.end())
+            std::memcpy(out, it->second.data(), kLineBytes);
+        else
+            _store.readLine(line_base, out);
+    }
+
+    /** Read a little-endian, aligned 64-bit durable word. */
+    std::uint64_t
+    read64(Addr a) const
+    {
+        assert((a & 7) == 0 && "an aligned word never straddles a line");
+        Line line;
+        readLine(lineAlign(a), line.data());
+        std::uint64_t v;
+        std::memcpy(&v, line.data() + (a & (kLineBytes - 1)), 8);
+        return v;
+    }
+
+    /** Lines whose durable bytes differ from the store's. */
+    const Lag &lag() const { return _lag; }
+
+    /** A full copy of the image: the store's NVM pages with every lag
+     *  line written over them. */
+    BackingStore
+    image() const
+    {
+        BackingStore img;
+        img.copyFrom(_store, MemLayout::kNvmBase);
+        for (const auto &[line, bytes] : _lag)
+            img.writeLine(line, bytes.data());
+        return img;
+    }
+
+  private:
+    const BackingStore &_store;
+    const Lag &_lag;
 };
 
 } // namespace uhtm

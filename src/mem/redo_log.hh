@@ -153,6 +153,9 @@ class RedoLogArea
             return;
         }
         it->second.committed = true;
+        // A committed log is never appended to again and lives until
+        // the end of the run: drop its vector growth slack.
+        it->second.entries.shrink_to_fit();
         it->second.commitSeq = _nextCommitSeq++;
         it->second.commitDurableAt = commit_durable_at;
         ++_stats.commits;
@@ -199,9 +202,11 @@ class RedoLogArea
     }
 
     /**
-     * Reclaim committed transactions whose in-place updates are known
-     * complete (the HTM layer calls this once the DRAM cache has
-     * written a transaction's lines back, or periodically).
+     * Reclaim a committed transaction's records once its in-place
+     * updates are known complete. Nothing calls this yet: committed
+     * logs live until the end of the run (commit() only trims their
+     * spare capacity), because reclaiming them would change bytesUsed()
+     * and with it when the log area has to be expanded.
      */
     void
     reclaimCommitted(TxId tx)
@@ -266,7 +271,7 @@ class RedoLogArea
      * @retval false @p out holds the durable in-place image unchanged.
      */
     bool
-    recoverLine(const BackingStore &durable_image, Addr line,
+    recoverLine(const DurableNvmView &durable_image, Addr line,
                 Tick crash_tick,
                 std::array<std::uint8_t, kLineBytes> &out) const
     {
@@ -293,6 +298,28 @@ class RedoLogArea
             return false;
         out = last_entry->newData;
         return true;
+    }
+
+    /** Host memory behind the records, for the per-job ledger. */
+    struct Footprint
+    {
+        std::uint64_t records = 0;       ///< records held
+        std::uint64_t recordBytes = 0;   ///< bytes those records use
+        std::uint64_t reservedBytes = 0; ///< entry capacity, pool included
+    };
+
+    Footprint
+    footprint() const
+    {
+        Footprint f;
+        for (const auto &[tx, log] : _logs) {
+            f.records += log.entries.size();
+            f.reservedBytes += log.entries.capacity() * sizeof(RedoEntry);
+        }
+        for (const TxLog &log : _pool)
+            f.reservedBytes += log.entries.capacity() * sizeof(RedoEntry);
+        f.recordBytes = f.records * sizeof(RedoEntry);
+        return f;
     }
 
     std::uint64_t bytesUsed() const { return _bytes; }

@@ -99,8 +99,9 @@ TEST(BenchSmoke, RenderToleratesFilteredResults)
 std::vector<std::uint64_t>
 u64Fields(const std::string &json, const std::string &name, int indent)
 {
-    const std::string tag =
-        "\n" + std::string(indent, ' ') + "\"" + name + "\": ";
+    std::string tag = "\n";
+    tag.append(static_cast<std::size_t>(indent), ' ');
+    tag += "\"" + name + "\": ";
     std::vector<std::uint64_t> out;
     for (std::size_t p = json.find(tag); p != std::string::npos;
          p = json.find(tag, p + 1))

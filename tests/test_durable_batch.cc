@@ -5,17 +5,23 @@
  * flushDurableWrites) applies writes in (due, seq) order, gives crash
  * semantics at mid-run observation (only writes due by the frozen tick
  * are visible), does not depend on how often the image is observed,
- * and is the same path with or without a fault injector attached.
+ * and is the same path with or without a fault injector attached; and
+ * the durable image, kept as the lines whose durable bytes lag the
+ * store, equals a full image rebuilt from the in-place writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/crash_oracle.hh"
 #include "check/fault_injector.hh"
 #include "harness/crash_sweep.hh"
 #include "htm/tx_context.hh"
+#include "sim/random.hh"
 
 namespace uhtm
 {
@@ -199,6 +205,151 @@ TEST(DurableBatch, UnarmedInjectorDoesNotChangeTheRun)
     EXPECT_EQ(probed.end, plain.end);
     EXPECT_EQ(probed.commits, plain.commits);
     EXPECT_GT(plain.commits, 0u);
+}
+
+TEST(DurableImage, LagMatchesFullShadowImage)
+{
+    // The machine keeps the durable NVM image as the lines whose
+    // durable bytes differ from the store. Rebuild the image as a full
+    // BackingStore from the injector's in-place write notifications
+    // (plus setup writes, durable at once), applied in (due, seq) order
+    // up to each observation's horizon, and compare it line by line
+    // under random concurrent traffic: commits, aborts,
+    // non-transactional stores, setup writes and write-backs from
+    // small caches, observed mid-run, after a drain and at a crash.
+    MachineConfig cfg = MachineConfig::tiny();
+    cfg.llcBytes = KiB(16);
+    cfg.dramCacheBytes = KiB(16);
+    EventQueue eq;
+    HtmSystem sys(eq, cfg, HtmPolicy::uhtmOpt(2048));
+    const DomainId dom = sys.createDomain("p0");
+    const Addr nvm = MemLayout::kNvmBase + 0x40000;
+    const Addr dram = MemLayout::kDramBase + 0x40000;
+    // Twice the LLC's lines: lines keep leaving the LLC and the DRAM
+    // cache, so in-place writes keep landing.
+    const std::uint64_t span = 2 * sys.llc().capacityLines();
+
+    struct Write
+    {
+        Tick due;
+        Addr line;
+        DurableNvmView::Line bytes;
+    };
+    std::vector<Write> queued; // issue (seq) order
+    BackingStore shadow;
+    FaultInjector fi(eq);
+    fi.setOnPoint([&](const PersistEvent &ev, const std::uint8_t *bytes) {
+        if (ev.point != PersistPoint::InPlaceNvmWrite)
+            return;
+        Write w{ev.completeAt, ev.line, {}};
+        std::copy(bytes, bytes + kLineBytes, w.bytes.begin());
+        queued.push_back(w);
+    });
+    sys.setFaultInjector(&fi);
+
+    std::size_t max_lag = 0;
+    auto check = [&](const std::string &when) {
+        const DurableNvmView view = sys.durableNvm();
+        // The documented horizon: everything once the queue drained,
+        // only what is due by now while events pend or after a crash.
+        const Tick horizon = (!eq.empty() || eq.stopRequested())
+                                 ? eq.now()
+                                 : ~Tick(0);
+        std::vector<std::pair<Tick, std::size_t>> due;
+        std::vector<Write> later;
+        for (std::size_t i = 0; i < queued.size(); ++i) {
+            if (queued[i].due <= horizon)
+                due.emplace_back(queued[i].due, i);
+            else
+                later.push_back(queued[i]);
+        }
+        std::sort(due.begin(), due.end());
+        for (const auto &[tick, i] : due)
+            shadow.writeLine(queued[i].line, queued[i].bytes.data());
+        queued = std::move(later);
+
+        const BackingStore image = view.image();
+        for (std::uint64_t i = 0; i < span; ++i) {
+            const Addr line = nvm + i * kLineBytes;
+            DurableNvmView::Line got, full, want;
+            view.readLine(line, got.data());
+            image.readLine(line, full.data());
+            shadow.readLine(line, want.data());
+            ASSERT_EQ(got, want) << when << ", line " << i;
+            ASSERT_EQ(full, want) << when << ", image() line " << i;
+        }
+        for (const auto &[line, bytes] : view.lag()) {
+            DurableNvmView::Line cur;
+            sys.store().readLine(line, cur.data());
+            ASSERT_NE(bytes, cur) << when << ": a lag entry equals its "
+                                     "store line, so the lag can grow "
+                                     "without bound";
+            ASSERT_EQ(MemLayout::kindOf(line), MemKind::Nvm) << when;
+        }
+        max_lag = std::max(max_lag, view.lag().size());
+    };
+
+    Rng rng(29);
+    auto step = [&] {
+        const CoreId core = static_cast<CoreId>(rng.below(cfg.cores));
+        const std::uint64_t r = rng.below(1000);
+        const Addr line = (rng.below(4) ? nvm : dram) +
+                          rng.below(span) * kLineBytes;
+        const Addr word = line + rng.below(kLineBytes / 8) * 8;
+        if (sys.abortPending(core)) {
+            sys.issueAbort(core);
+        } else if (!sys.currentTx(core) && r < 300) {
+            sys.beginTx(core, dom, 0);
+        } else if (sys.currentTx(core) && r < 360) {
+            sys.issueCommit(core);
+        } else if (r < 380) {
+            const std::uint64_t v = rng.next();
+            sys.setupWrite64(word, v);
+            if (MemLayout::kindOf(word) == MemKind::Nvm)
+                shadow.write64(word, v);
+        } else {
+            sys.issueAccess(core, dom, word, rng.below(2) == 0,
+                            rng.below(8) == 0, rng.next());
+        }
+        // Like a worker resuming at its access's completion: an event
+        // at the next tick of interest moves the clock there.
+        const Tick next = eq.now() + rng.below(ticksFromNs(300));
+        eq.scheduleAt(next, [] {});
+        eq.runUntil(next);
+    };
+
+    // A far-future event keeps the queue non-empty, so observations
+    // see only the writes due by the current tick.
+    eq.scheduleAt(eq.now() + ticksFromNs(1e9), [] {});
+    for (int i = 0; i < 6000; ++i) {
+        step();
+        if (i % 97 == 0)
+            check("mid-run step " + std::to_string(i));
+    }
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+        if (sys.abortPending(c))
+            sys.issueAbort(c);
+        else if (sys.currentTx(c))
+            sys.issueCommit(c);
+    }
+    eq.run();
+    check("drained");
+
+    eq.scheduleAt(eq.now() + ticksFromNs(1e9), [] {});
+    fi.armCrashAt(fi.pointCount() + 500);
+    for (int i = 0; i < 20000 && !fi.crashed(); ++i)
+        step();
+    ASSERT_TRUE(fi.crashed());
+    check("crash");
+
+    // The traffic reached every writer of the store and the lag.
+    const HtmStats &st = sys.stats();
+    EXPECT_GT(st.commits, 0u);
+    EXPECT_GT(st.totalAborts(), 0u);
+    EXPECT_GT(fi.countOf(PersistPoint::InPlaceNvmWrite), 1000u);
+    EXPECT_GT(sys.dramCache().stats().writeBacks, 0u);
+    EXPECT_GT(max_lag, 0u);
+    sys.setFaultInjector(nullptr);
 }
 
 } // namespace

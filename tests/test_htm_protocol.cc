@@ -71,7 +71,7 @@ TEST(Protocol, LostUpdateAuditCountsAWriteBehindTheTransaction)
     // update it never saw.
     f.sys.beginTx(0, f.dom, 0);
     f.access(0, kDram, true, 2);
-    f.sys.store().write64(kDram, 3);
+    f.sys.setupWrite64(kDram, 3);
     f.sys.issueCommit(0);
     f.eq.run();
     EXPECT_EQ(f.sys.stats().lostUpdates, 1u);

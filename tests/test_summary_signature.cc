@@ -39,7 +39,8 @@ struct Harness
     {
         tss.configureSummaries(kSigBits, kSigHashes);
         for (unsigned d = 0; d < ndomains; ++d)
-            domains.push_back(tss.createDomain("d" + std::to_string(d)));
+            domains.push_back(
+                tss.createDomain(std::string("d").append(std::to_string(d))));
     }
 
     TxDesc *
