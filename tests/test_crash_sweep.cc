@@ -236,5 +236,64 @@ TEST(CrashSweep, SweepTracksTornEntriesOnlyWhenBroken)
     EXPECT_FALSE(bad.sweep().passed());
 }
 
+/** FNV-1a over each point's (kind, line, issue tick, durable tick). */
+std::uint64_t
+scheduleDigest(const std::vector<PersistEvent> &schedule)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            h ^= v & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const PersistEvent &ev : schedule) {
+        mix(static_cast<std::uint64_t>(ev.point));
+        mix(ev.line);
+        mix(ev.issueTick);
+        mix(ev.completeAt);
+    }
+    return h;
+}
+
+TEST(CrashSweep, SchedulePinned)
+{
+    // The crash schedule numbers persist points in notification order
+    // and an armed crash is scheduled when its point is notified, so a
+    // change that reorders, adds or drops a point, or moves one in
+    // time, renumbers every later crash. The constants pin the
+    // schedules point for point; the cache-pressure case adds the
+    // DRAM-cache write-backs that the default caches never make.
+    struct Case
+    {
+        const char *name;
+        bool kv;
+        bool pressure;
+        std::uint64_t points;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"kv_hybrid", true, false, 1840, 0x06fb2ba6d00723c6ull},
+        {"btree", false, false, 906, 0xc55c655c1b888b7aull},
+        {"kv_hybrid under cache pressure", true, true, 3666,
+         0x3265552301ed897aull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        CrashSweepConfig cfg;
+        if (c.pressure) {
+            cfg.mcfg.llcBytes = KiB(16);
+            cfg.mcfg.dramCacheBytes = KiB(16);
+            cfg.seed = 3;
+        }
+        CrashSweepRunner runner(cfg, c.kv
+                                         ? CrashSweepRunner::kvHybridWorkload()
+                                         : CrashSweepRunner::btreeWorkload());
+        const CrashSweepResult res = runner.sweep();
+        EXPECT_EQ(res.points, c.points);
+        EXPECT_EQ(scheduleDigest(res.schedule), c.digest);
+    }
+}
+
 } // namespace
 } // namespace uhtm
