@@ -2,12 +2,13 @@
  * @file
  * Crash-point fault injector.
  *
- * The FaultInjector is the concrete PersistProbe attached to the
- * machine's persistence-ordering points (redo/undo log appends, commit
- * and abort marks, DRAM-cache write-backs and drops, and in-place NVM
- * writes, notified at issue by HtmSystem::enqueueDurableWrite). It only
- * observes: the durable-write path is the same with or without it.
- * Every notification becomes one numbered *crash point* in a
+ * The FaultInjector observes the machine's persistence-ordering points
+ * (redo/undo log appends, commit and abort marks, DRAM-cache
+ * write-backs and drops, and in-place NVM writes). HtmSystem is its one
+ * notifier: it announces each point at issue, in the order the
+ * protocol performs them; the mem/ components know nothing of it. It
+ * only observes: the durable-write path is the same with or without
+ * it. Every notification becomes one numbered *crash point* in a
  * deterministic, replayable schedule:
  *
  *   - sweep mode: an onPoint callback lets the harness schedule an
@@ -31,7 +32,6 @@
 #include <functional>
 #include <vector>
 
-#include "check/persist_probe.hh"
 #include "mem/undo_log.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -40,6 +40,47 @@ namespace uhtm
 {
 
 class CrashOracle;
+
+/** The kinds of persistence-ordering points the machine exposes. */
+enum class PersistPoint
+{
+    /** NVM redo-log record append (async log write issued). */
+    RedoLogAppend,
+    /** NVM commit-record write (the transaction's durability point). */
+    CommitMark,
+    /** NVM abort-flag write. */
+    AbortMark,
+    /** DRAM-cache eviction of a committed dirty line towards NVM. */
+    DramCacheWriteback,
+    /** DRAM-cache eviction dropping an uncommitted line. */
+    DramCacheDrop,
+    /** In-place NVM line write completing (durable image update). */
+    InPlaceNvmWrite,
+    /** DRAM undo-log record append (old value logged). */
+    UndoLogAppend,
+    /** DRAM undo commit-mark write. */
+    UndoCommitMark,
+    /** Undo-log copy-back of one old value during abort. */
+    UndoCopyBack,
+};
+
+/** Printable persist-point name. */
+inline const char *
+persistPointName(PersistPoint p)
+{
+    switch (p) {
+      case PersistPoint::RedoLogAppend: return "redo-append";
+      case PersistPoint::CommitMark: return "commit-mark";
+      case PersistPoint::AbortMark: return "abort-mark";
+      case PersistPoint::DramCacheWriteback: return "dcache-writeback";
+      case PersistPoint::DramCacheDrop: return "dcache-drop";
+      case PersistPoint::InPlaceNvmWrite: return "inplace-nvm-write";
+      case PersistPoint::UndoLogAppend: return "undo-append";
+      case PersistPoint::UndoCommitMark: return "undo-commit-mark";
+      case PersistPoint::UndoCopyBack: return "undo-copyback";
+    }
+    return "?";
+}
 
 /** One numbered persistence-ordering point of the schedule. */
 struct PersistEvent
@@ -55,7 +96,7 @@ struct PersistEvent
 };
 
 /** Counter-based crash scheduler over the machine's persist points. */
-class FaultInjector : public PersistProbe
+class FaultInjector
 {
   public:
     /** Committed line image of one transaction (NVM write set). */
@@ -137,8 +178,14 @@ class FaultInjector : public PersistProbe
         return n;
     }
 
+    /**
+     * Record persist point @p point on @p line, issued now. @p
+     * complete_at is the tick at which its effect becomes durable (0:
+     * now). @p bytes is the 64-byte line image involved, or nullptr
+     * when the point carries no data (marks, drops).
+     */
     void notifyPersist(PersistPoint point, Addr line, Tick complete_at,
-                       const std::uint8_t *bytes) override;
+                       const std::uint8_t *bytes);
 
     /** @name Transaction outcome reports (HTM layer)
      *  @{ */

@@ -283,6 +283,8 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
                 std::array<std::uint8_t, kLineBytes> old;
                 _store.readLine(line, old.data());
                 if (_undoLog.append(writer->id, line, old)) {
+                    notifyPersist(PersistPoint::UndoLogAppend, line, 0,
+                                  old.data());
                     ++writer->undoRecords;
                     const Tick r = _dramCtrl.access(t, false);
                     _dramCtrl.access(r, true, true);
@@ -302,8 +304,7 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
             // record was already created at store time.
             std::array<std::uint8_t, kLineBytes> img;
             lineImage(writer, line, img);
-            DramCacheEntry *e = _dramCache.insert(line, writer->id);
-            e->data = img;
+            dramCacheInsert(line, writer->id).data = img;
             _dramCtrl.access(t, true);
             UHTM_OBS_EVENT(_obs, t, obs::EventKind::DramCacheFill,
                            obs::kEvNoCore, writer->id, line);
@@ -432,7 +433,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                     t = _dramCtrl.access(t, false);
                 } else {
                     t = _nvmCtrl.access(t, false);
-                    _dramCache.insert(line, kNoTx); // cache the NVM line
+                    dramCacheInsert(line, kNoTx); // cache the NVM line
                     UHTM_OBS_EVENT(_obs, t, obs::EventKind::DramCacheFill,
                                    obs::kEvNoCore, kNoTx, line);
                 }
@@ -524,14 +525,19 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                     // controller's completion.
                     dur += kBrokenLogFlushLag;
                 }
-                const bool coalesced =
-                    !_redoLog.append(tx->id, line, buf, dur);
-                if (dur > tx->logsDurableAt)
-                    tx->logsDurableAt = dur;
+                // Coalesced writes still go through the log buffer:
+                // they are persistence-ordering points like fresh
+                // appends.
+                const RedoLogArea::Append rec =
+                    _redoLog.append(tx->id, line, buf, dur);
+                notifyPersist(PersistPoint::RedoLogAppend, line,
+                              rec.durableAt, buf.data());
+                if (rec.durableAt > tx->logsDurableAt)
+                    tx->logsDurableAt = rec.durableAt;
                 UHTM_OBS_EVENT(_obs, _eq.now(),
                                obs::EventKind::RedoLogAppend,
                                static_cast<std::uint16_t>(core), tx->id,
-                               line, 0, coalesced ? obs::kEvFlag0 : 0);
+                               line, 0, rec.coalesced ? obs::kEvFlag0 : 0);
             }
         } else {
             ++tx->reads;

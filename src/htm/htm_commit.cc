@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/fault_injector.hh"
 #include "htm/htm_system.hh"
 #include "obs/tracer.hh"
 
@@ -132,12 +131,14 @@ HtmSystem::issueCommit(CoreId core)
 
     if (!nvm_lines.empty()) {
         _redoLog.commit(tx->id, commit_durable_at);
+        notifyPersist(PersistPoint::CommitMark, 0, commit_durable_at,
+                      nullptr);
         for (Addr line : nvm_lines) {
             const auto &buf = tx->writeSet.at(line).image;
             if (!_dramCache.commitEntry(line, tx->id, buf)) {
-                DramCacheEntry *e = _dramCache.insert(line, kNoTx);
-                e->data = buf;
-                e->dirty = true;
+                DramCacheEntry &e = dramCacheInsert(line, kNoTx);
+                e.data = buf;
+                e.dirty = true;
                 UHTM_OBS_EVENT(_obs, _eq.now(),
                                obs::EventKind::DramCacheFill,
                                static_cast<std::uint16_t>(core), tx->id,
@@ -146,6 +147,7 @@ HtmSystem::issueCommit(CoreId core)
         }
     }
     _undoLog.commit(tx->id);
+    notifyPersist(PersistPoint::UndoCommitMark, 0, 0, nullptr);
 
     // Clear this core's transactional cache metadata; LLC reader marks
     // are pruned lazily via the TSS.
@@ -227,6 +229,8 @@ HtmSystem::issueAbort(CoreId core)
     // streams the log and scatters the writes, pipelined through the
     // controller. Still the expensive side of prioritizing commits.
     const auto entries = _undoLog.restore(tx->id);
+    for (const UndoEntry &e : entries)
+        notifyPersist(PersistPoint::UndoCopyBack, e.line, 0, e.oldData.data());
     if (!entries.empty()) {
         Tick end = t;
         for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -241,10 +245,7 @@ HtmSystem::issueAbort(CoreId core)
     // found through the overflow list.
     if (_redoLog.entryCount(tx->id) > 0) {
         t = _nvmCtrl.access(t, true, true);
-        if (_faultInjector) {
-            _faultInjector->notifyPersist(PersistPoint::AbortMark, 0, t,
-                                          nullptr);
-        }
+        notifyPersist(PersistPoint::AbortMark, 0, t, nullptr);
         for (Addr line : tx->overflowList)
             if (MemLayout::kindOf(line) == MemKind::Nvm)
                 _dramCache.invalidateEntry(line, tx->id);

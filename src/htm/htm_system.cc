@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "check/fault_injector.hh"
 #include "obs/tracer.hh"
 
 namespace uhtm
@@ -57,32 +56,57 @@ HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
                                                mcfg.l1Bytes, mcfg.l1Ways));
     }
     _coreTx.resize(mcfg.cores, nullptr);
+}
 
-    // Committed dirty lines evicted from the DRAM cache update in-place
-    // NVM: charge the NVM channel and make the bytes durable when the
-    // write completes. Bound as a member FunctionRef: a direct call
-    // with no capture storage on the eviction hot path.
-    _dramCache.setWriteBack(
-        DramCache::WriteBackFn::bind<&HtmSystem::onDramCacheWriteBack>(
-            this));
+// The DramCacheEvict trace event records the victim kind as its reason.
+static_assert(
+    static_cast<std::uint32_t>(DramCache::Victim::WriteBack) ==
+        obs::kEvictWriteBack &&
+    static_cast<std::uint32_t>(DramCache::Victim::UncommittedDrop) ==
+        obs::kEvictUncommittedDrop &&
+    static_cast<std::uint32_t>(DramCache::Victim::InvalidatedDrop) ==
+        obs::kEvictInvalidatedDrop &&
+    static_cast<std::uint32_t>(DramCache::Victim::Clean) ==
+        obs::kEvictClean);
+
+DramCacheEntry &
+HtmSystem::dramCacheInsert(Addr line, TxId tx)
+{
+    using Victim = DramCache::Victim;
+    const DramCache::Slot slot = _dramCache.victimFor(line, tx);
+    const DramCacheEntry &v = *slot.entry;
+    if (slot.victim == Victim::WriteBack || slot.victim == Victim::Supersede)
+        writeBackDramCacheLine(v);
+    else if (slot.victim == Victim::UncommittedDrop)
+        notifyPersist(PersistPoint::DramCacheDrop, v.tag, 0, nullptr);
+    if (slot.evicts()) {
+        UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::DramCacheEvict,
+                       obs::kEvNoCore, kNoTx, v.tag,
+                       static_cast<std::uint32_t>(slot.victim));
+    }
+    return _dramCache.install(slot, line, tx);
 }
 
 void
-HtmSystem::onDramCacheWriteBack(
-    Addr line, const std::array<std::uint8_t, kLineBytes> &bytes)
+HtmSystem::writeBackDramCacheLine(const DramCacheEntry &e)
 {
+    notifyPersist(PersistPoint::DramCacheWriteback, e.tag, 0,
+                  e.data.data());
     const Tick done = _nvmCtrl.access(_eq.now(), true);
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::NvmWriteBack,
-                   obs::kEvNoCore, kNoTx, line);
-    enqueueDurableWrite(line, done, bytes);
+                   obs::kEvNoCore, kNoTx, e.tag);
+    enqueueDurableWrite(e.tag, done, e.data);
 }
 
 void
-HtmSystem::onDramCacheEvict(Addr line, int reason)
+HtmSystem::flushDramCache()
 {
-    UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::DramCacheEvict,
-                   obs::kEvNoCore, kNoTx, line,
-                   static_cast<std::uint32_t>(reason));
+    _dramCache.forEach([this](DramCacheEntry &e) {
+        if (e.committedDirty()) {
+            writeBackDramCacheLine(e);
+            _dramCache.clean(e);
+        }
+    });
 }
 
 void
@@ -92,10 +116,7 @@ HtmSystem::enqueueDurableWrite(
     // The crash schedule records the write at issue, durable at due,
     // like every other persist point. Notify before queueing: an
     // oracle's first sighting of the line reads the pre-write image.
-    if (_faultInjector) {
-        _faultInjector->notifyPersist(PersistPoint::InPlaceNvmWrite, line,
-                                      due, bytes.data());
-    }
+    notifyPersist(PersistPoint::InPlaceNvmWrite, line, due, bytes.data());
     // Event-free batch: appended in issue (seq) order, applied in
     // (due, seq) order at the next observation of the durable image.
     // A large batch flushes its already-due prefix opportunistically
@@ -138,19 +159,6 @@ HtmSystem::flushDurableWrites(Tick upTo)
         _durableMinDue = std::min(_durableMinDue, p.due);
 }
 
-void
-HtmSystem::setTracer(obs::Tracer *t)
-{
-    _obs = t;
-    if (t) {
-        _dramCache.setEvictHook(
-            DramCache::EvictHookFn::bind<&HtmSystem::onDramCacheEvict>(
-                this));
-    } else {
-        _dramCache.setEvictHook({});
-    }
-}
-
 HtmSystem::~HtmSystem() = default;
 
 DomainId
@@ -166,16 +174,12 @@ HtmSystem::makeTx(CoreId core, DomainId domain, int attempt,
     assert(core < _mcfg.cores);
     assert(!_coreTx[core] && "core already runs a transaction");
     const TxId id = _nextTxId++;
-    auto desc = std::make_unique<TxDesc>(id, core, domain,
-                                         _policy.signatureBits,
-                                         _policy.signatureHashes);
-    desc->serialized = serialized;
-    desc->attempt = attempt;
-    desc->beginTick = _eq.now();
-    TxDesc *ptr = desc.get();
-    _liveTxs.emplace(id, std::move(desc));
+    TxDesc *ptr = _tss.add(std::make_unique<TxDesc>(
+        id, core, domain, _policy.signatureBits, _policy.signatureHashes));
+    ptr->serialized = serialized;
+    ptr->attempt = attempt;
+    ptr->beginTick = _eq.now();
     _coreTx[core] = ptr;
-    _tss.add(ptr);
     ++_stats.txBegins;
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxBegin,
                    static_cast<std::uint16_t>(core), id, domain,
@@ -191,9 +195,8 @@ HtmSystem::finishTx(TxDesc *tx)
         _stats.sigInsertsPerTx.sample(static_cast<double>(
             tx->readSig.inserts() + tx->writeSig.inserts()));
     }
-    _tss.remove(tx);
     _coreTx[tx->core] = nullptr;
-    _liveTxs.erase(tx->id);
+    _tss.remove(tx); // destroys the descriptor
 }
 
 TxDesc *
@@ -316,7 +319,6 @@ HtmSystem::suspendTx(CoreId core)
     });
     _coreTx[core] = nullptr;
     tx->core = kNoCore;
-    _suspended.emplace(tx->id, tx);
     ++_stats.contextSwitches;
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxSuspend,
                    static_cast<std::uint16_t>(core), tx->id, 0);
@@ -326,11 +328,9 @@ HtmSystem::suspendTx(CoreId core)
 void
 HtmSystem::resumeTx(CoreId core, TxId id)
 {
-    auto it = _suspended.find(id);
-    assert(it != _suspended.end() && "resume of a non-suspended tx");
+    assert(isSuspended(id) && "resume of a non-suspended tx");
     assert(!_coreTx[core] && "target core already runs a transaction");
-    TxDesc *tx = it->second;
-    _suspended.erase(it);
+    TxDesc *tx = _tss.byId(id);
     tx->core = core;
     _coreTx[core] = tx;
     UHTM_OBS_EVENT(_obs, _eq.now(), obs::EventKind::TxResume,
@@ -340,7 +340,8 @@ HtmSystem::resumeTx(CoreId core, TxId id)
 bool
 HtmSystem::isSuspended(TxId id) const
 {
-    return _suspended.count(id) > 0;
+    const TxDesc *tx = _tss.byId(id);
+    return tx && tx->core == kNoCore;
 }
 
 bool
@@ -379,15 +380,6 @@ std::uint64_t
 HtmSystem::setupRead64(Addr a) const
 {
     return _store.read64(a);
-}
-
-void
-HtmSystem::setFaultInjector(FaultInjector *fi)
-{
-    _faultInjector = fi;
-    _redoLog.setProbe(fi);
-    _undoLog.setProbe(fi);
-    _dramCache.setProbe(fi);
 }
 
 BackingStore

@@ -30,9 +30,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "check/fault_injector.hh"
 #include "htm/config.hh"
 #include "htm/conflict_policy.hh"
 #include "htm/tss.hh"
@@ -51,8 +51,6 @@
 
 namespace uhtm
 {
-
-class FaultInjector;
 
 namespace obs
 {
@@ -255,7 +253,7 @@ class HtmSystem
     /** Re-install suspended transaction @p id on @p core. */
     void resumeTx(CoreId core, TxId id);
 
-    /** True if @p id is suspended (off-core but live). */
+    /** True if @p id is suspended: live, but on no core. */
     bool isSuspended(TxId id) const;
 
     /** @} */
@@ -307,13 +305,18 @@ class HtmSystem
     }
 
     /**
-     * Attach (or with nullptr detach) a crash-point fault injector:
-     * wires the persistence probes of the logs and the DRAM cache, and
-     * enables in-place NVM write points and transaction-outcome reports
-     * from the commit/abort protocols. The durable-write path is the
-     * same with or without an injector.
+     * Attach (or with nullptr detach) a crash-point fault injector.
+     * HtmSystem announces every persist point to it, and reports each
+     * transaction's outcome from the commit/abort protocols. The
+     * durable-write path is the same with or without an injector.
      */
-    void setFaultInjector(FaultInjector *fi);
+    void setFaultInjector(FaultInjector *fi) { _faultInjector = fi; }
+
+    /**
+     * Write every committed dirty DRAM-cache entry back to in-place NVM
+     * now, as evictions would (tests drain the cache with this).
+     */
+    void flushDramCache();
 
     /**
      * Test-only protocol mutation modelling a missing persist fence:
@@ -358,7 +361,7 @@ class HtmSystem
      * observation: simulated timing and results are identical with and
      * without one (CI enforces this byte-for-byte on the bench JSON).
      */
-    void setTracer(obs::Tracer *t);
+    void setTracer(obs::Tracer *t) { _obs = t; }
 
     obs::Tracer *tracer() const { return _obs; }
 
@@ -433,10 +436,26 @@ class HtmSystem
     bool requestAbort(TxDesc *victim, AbortCause cause, TxId by,
                       Addr line = 0);
 
-    /** DRAM-cache hook targets (bound via FunctionRef, no captures). */
-    void onDramCacheWriteBack(
-        Addr line, const std::array<std::uint8_t, kLineBytes> &bytes);
-    void onDramCacheEvict(Addr line, int reason);
+    /** Announce persist point @p p to the fault injector, if any (see
+     *  FaultInjector::notifyPersist); the one place points come from. */
+    void
+    notifyPersist(PersistPoint p, Addr line, Tick complete_at,
+                  const std::uint8_t *bytes)
+    {
+        if (_faultInjector)
+            _faultInjector->notifyPersist(p, line, complete_at, bytes);
+    }
+
+    /**
+     * Insert @p line into the DRAM cache for @p tx (kNoTx: committed or
+     * clean data), first writing back or dropping the entry it
+     * displaces — as handleChipEviction does for an LLC victim.
+     */
+    DramCacheEntry &dramCacheInsert(Addr line, TxId tx);
+
+    /** Write committed dirty DRAM-cache entry @p e to in-place NVM:
+     *  charge the NVM channel, the bytes are durable when it is done. */
+    void writeBackDramCacheLine(const DramCacheEntry &e);
 
     /**
      * Memoized signature probe for @p line under the run's (fixed)
@@ -558,10 +577,8 @@ class HtmSystem
     UndoLogArea _undoLog;
     RedoLogArea _redoLog;
 
-    Tss _tss;
+    Tss _tss; ///< owns the live transactions' descriptors
     std::vector<TxDesc *> _coreTx; ///< running tx per core
-    std::unordered_map<TxId, std::unique_ptr<TxDesc>> _liveTxs;
-    std::unordered_map<TxId, TxDesc *> _suspended;
 
     TxId _nextTxId = 1;
     HtmStats _stats;

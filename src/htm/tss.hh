@@ -27,6 +27,7 @@
 #include <cassert>
 #include <coroutine>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -191,7 +192,8 @@ struct ConflictDomain
     bool locked() const { return lockHolder != kNoTx; }
 };
 
-/** Registry of active transactions and conflict domains. */
+/** Registry of active transactions (it owns their descriptors) and
+ *  conflict domains. */
 class Tss
 {
   public:
@@ -218,27 +220,30 @@ class Tss
 
     std::size_t domainCount() const { return _domains.size(); }
 
-    /** Register a freshly begun transaction. */
-    void
-    add(TxDesc *tx)
+    /** Register a freshly begun transaction; the registry owns it. */
+    TxDesc *
+    add(std::unique_ptr<TxDesc> desc)
     {
+        TxDesc *tx = desc.get();
         assert(tx && tx->id != kNoTx);
-        _byId.emplace(tx->id, tx);
+        _byId.emplace(tx->id, std::move(desc));
         _active.push_back(tx);
         _activeByDomain[tx->domain].push_back(tx);
+        return tx;
     }
 
-    /** Deregister a finished (committed or aborted) transaction. */
+    /** Deregister a finished (committed or aborted) transaction and
+     *  destroy its descriptor. */
     void
     remove(TxDesc *tx)
     {
-        _byId.erase(tx->id);
         eraseFrom(_active, tx);
         eraseFrom(_activeByDomain[tx->domain], tx);
         // Only transactions that contributed signature bits stale the
         // summary unions.
         if (tx->readSig.inserts() || tx->writeSig.inserts())
             _summaries.noteRetire(tx->domain);
+        _byId.erase(tx->id);
     }
 
     /** Active descriptor by id, or nullptr (stale ids prune to null). */
@@ -246,7 +251,7 @@ class Tss
     byId(TxId id) const
     {
         auto it = _byId.find(id);
-        return it == _byId.end() ? nullptr : it->second;
+        return it == _byId.end() ? nullptr : it->second.get();
     }
 
     /** All active transactions. */
@@ -306,7 +311,7 @@ class Tss
         }
     }
 
-    LineMap<TxDesc *> _byId;
+    LineMap<std::unique_ptr<TxDesc>> _byId;
     std::vector<TxDesc *> _active;
     std::vector<std::vector<TxDesc *>> _activeByDomain;
     std::vector<ConflictDomain> _domains;

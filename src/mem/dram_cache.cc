@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "mem/layout.hh"
-#include "obs/event.hh"
 
 namespace uhtm
 {
@@ -53,100 +52,80 @@ DramCache::peek(Addr line_base)
     return nullptr;
 }
 
-void
-DramCache::evict(DramCacheEntry &victim)
-{
-    ++_stats.evictions;
-    int reason = obs::kEvictClean;
-    if (victim.invalidated) {
-        // Aborted data: drop silently.
-        reason = obs::kEvictInvalidatedDrop;
-    } else if (victim.tx != kNoTx) {
-        // Uncommitted line forced out; its bytes remain recoverable from
-        // the redo log, so it is safe (if slow) to drop it here.
-        ++_stats.uncommittedDrops;
-        reason = obs::kEvictUncommittedDrop;
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::DramCacheDrop, victim.tag,
-                                  0, nullptr);
-        }
-    } else if (victim.dirty) {
-        ++_stats.writeBacks;
-        reason = obs::kEvictWriteBack;
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::DramCacheWriteback,
-                                  victim.tag, 0, victim.data.data());
-        }
-        if (_writeBack)
-            _writeBack(victim.tag, victim.data);
-    }
-    if (_evictHook)
-        _evictHook(victim.tag, reason);
-    const auto i = static_cast<std::size_t>(&victim - _entries.data());
-    _tags[i] = kInvalidTag;
-    _entries.destroy(i);
-}
-
-DramCacheEntry *
-DramCache::insert(Addr line_base, TxId tx)
+DramCache::Slot
+DramCache::victimFor(Addr line_base, TxId tx)
 {
     if (DramCacheEntry *e = peek(line_base)) {
-        // Refresh in place; a new transactional write supersedes an
-        // invalidated or committed entry for the same line.
-        if (e->tx != tx && !e->invalidated && e->tx == kNoTx && e->dirty) {
-            // Committed data being overwritten by a new speculative
-            // write must first reach in-place NVM or it would be lost
-            // on abort of the new transaction.
+        if (tx != kNoTx && e->committedDirty()) {
             ++_stats.writeBacks;
-            if (_probe) {
-                _probe->notifyPersist(PersistPoint::DramCacheWriteback,
-                                      e->tag, 0, e->data.data());
-            }
-            if (_writeBack)
-                _writeBack(e->tag, e->data);
-            e->dirty = false;
+            return {e, Victim::Supersede};
         }
-        e->tx = tx;
-        e->invalidated = false;
-        touch(*e);
-        return e;
+        return {e, Victim::None};
     }
 
     const std::uint64_t set = setIndex(line_base);
     const std::uint64_t base = set * _ways;
     const Addr *tags = &_tags[base];
     DramCacheEntry *entries = &_entries[base];
+    for (unsigned w = 0; w < _ways; ++w)
+        if (tags[w] == kInvalidTag)
+            return {&entries[w], Victim::None};
+    // Prefer the first invalidated entry in way order, then the least
+    // recently used entry no transaction owns (tx == kNoTx), then the
+    // least recently used entry.
     std::size_t slot = _ways;
     for (unsigned w = 0; w < _ways && slot == _ways; ++w)
-        if (tags[w] == kInvalidTag)
+        if (entries[w].invalidated)
             slot = w;
     if (slot == _ways) {
-        // Prefer the first invalidated entry in way order, then the
-        // least recently used entry no transaction owns (tx == kNoTx),
-        // then the least recently used entry.
-        for (unsigned w = 0; w < _ways && slot == _ways; ++w)
-            if (entries[w].invalidated)
+        const std::uint64_t order = _order[set];
+        slot = lruWayAt(order, _ways - 1);
+        for (unsigned r = _ways; r-- > 0;) {
+            const unsigned w = lruWayAt(order, r);
+            if (entries[w].tx == kNoTx) {
                 slot = w;
-        if (slot == _ways) {
-            const std::uint64_t order = _order[set];
-            slot = lruWayAt(order, _ways - 1);
-            for (unsigned r = _ways; r-- > 0;) {
-                const unsigned w = lruWayAt(order, r);
-                if (entries[w].tx == kNoTx) {
-                    slot = w;
-                    break;
-                }
+                break;
             }
         }
-        evict(entries[slot]);
     }
+    DramCacheEntry &victim = entries[slot];
+    ++_stats.evictions;
+    if (victim.invalidated)
+        return {&victim, Victim::InvalidatedDrop};
+    if (victim.tx != kNoTx) {
+        ++_stats.uncommittedDrops;
+        return {&victim, Victim::UncommittedDrop};
+    }
+    if (victim.dirty) {
+        ++_stats.writeBacks;
+        return {&victim, Victim::WriteBack};
+    }
+    return {&victim, Victim::Clean};
+}
 
-    DramCacheEntry &e = _entries.construct(base + slot);
+DramCacheEntry &
+DramCache::install(Slot slot, Addr line_base, TxId tx)
+{
+    const auto i = static_cast<std::size_t>(slot.entry - _entries.data());
+    if (_tags[i] == line_base) {
+        // Refresh in place: a new write takes over an invalidated or
+        // committed entry for the same line.
+        DramCacheEntry &e = *slot.entry;
+        if (slot.victim == Victim::Supersede)
+            e.dirty = false;
+        e.tx = tx;
+        e.invalidated = false;
+        touch(e);
+        return e;
+    }
+    if (_tags[i] != kInvalidTag)
+        _entries.destroy(i);
+    DramCacheEntry &e = _entries.construct(i);
     e.tag = line_base;
     e.tx = tx;
     touch(e);
-    _tags[base + slot] = line_base;
-    return &e;
+    _tags[i] = line_base;
+    return e;
 }
 
 bool
@@ -171,23 +150,6 @@ DramCache::invalidateEntry(Addr line_base, TxId tx)
             ++_stats.invalidations;
         }
     }
-}
-
-void
-DramCache::flushAll()
-{
-    forEach([&](DramCacheEntry &e) {
-        if (!e.invalidated && e.tx == kNoTx && e.dirty) {
-            ++_stats.writeBacks;
-            if (_probe) {
-                _probe->notifyPersist(PersistPoint::DramCacheWriteback,
-                                      e.tag, 0, e.data.data());
-            }
-            if (_writeBack)
-                _writeBack(e.tag, e.data);
-            e.dirty = false;
-        }
-    });
 }
 
 } // namespace uhtm

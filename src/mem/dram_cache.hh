@@ -24,9 +24,7 @@
 #include <string>
 #include <type_traits>
 
-#include "check/persist_probe.hh"
 #include "mem/lru_order.hh"
-#include "sim/function_ref.hh"
 #include "sim/reuse_alloc.hh"
 #include "sim/types.hh"
 
@@ -45,6 +43,13 @@ struct DramCacheEntry
     bool invalidated = false;
     /** Committed line bytes (valid when dirty and tx == kNoTx). */
     std::array<std::uint8_t, kLineBytes> data{};
+
+    /** Holds committed bytes that in-place NVM does not have yet. */
+    bool
+    committedDirty() const
+    {
+        return dirty && tx == kNoTx && !invalidated;
+    }
 };
 static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
 
@@ -53,13 +58,15 @@ static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
  *
  * As in Cache, the tag array is the only record of which slots hold an
  * entry: entry storage is raw and recycled (sim/reuse_alloc.hh), an
- * entry is constructed by insert() and destroyed when it is evicted,
+ * entry is constructed by install() and destroyed when it is evicted,
  * so building the cache writes only its tags and its per-set recency
  * words (mem/lru_order.hh).
  *
- * The owner wires up @c writeBack, called when a committed dirty entry
- * is evicted and its bytes must be written to in-place NVM (durable
- * image + NVM controller timing).
+ * The cache is passive: it chooses victims and keeps entries, and
+ * writes nothing to NVM. Its owner inserts in two steps, like Cache:
+ * victimFor() names the slot and what happens to the entry there, the
+ * owner writes back or drops that entry in place, then install() hands
+ * the slot to the new line.
  */
 class DramCache
 {
@@ -75,34 +82,42 @@ class DramCache
     };
 
     /**
-     * Callback: write @p data to in-place NVM at @p line_base.
-     * Non-owning (FunctionRef): eviction write-backs are a hot path and
-     * pay one direct indirect call, no std::function dispatch or
-     * capture storage. The referenced callable must outlive the cache's
-     * use of it (HtmSystem binds itself; tests bind named locals).
+     * What giving a slot to a line does to the entry the slot holds.
+     * The four evictions come first and carry the trace's
+     * DramCacheEvict reason codes (obs::EvictReason).
      */
-    using WriteBackFn =
-        FunctionRef<void(Addr line_base,
-                         const std::array<std::uint8_t, kLineBytes> &)>;
+    enum class Victim : std::uint8_t
+    {
+        /** Committed dirty entry evicted: its bytes go to NVM. */
+        WriteBack = 0,
+        /** Live speculative entry evicted; the redo log keeps its
+         *  bytes, which must never reach in-place NVM. */
+        UncommittedDrop = 1,
+        /** Aborted entry evicted silently. */
+        InvalidatedDrop = 2,
+        /** Committed clean entry evicted. */
+        Clean = 3,
+        /** A free way, or the line's own entry, kept as it is. */
+        None,
+        /** The line's own committed dirty entry, superseded by a
+         *  speculative write: its bytes go to NVM first, or an abort
+         *  of the writer would lose them. */
+        Supersede,
+    };
+
+    /** Insertion step 1's answer: the slot and what befalls its entry. */
+    struct Slot
+    {
+        DramCacheEntry *entry;
+        Victim victim;
+
+        /** The slot's entry belongs to another line and leaves. */
+        bool evicts() const { return victim <= Victim::Clean; }
+    };
 
     /** @throws std::invalid_argument on a bad geometry (ways outside
      *          [1, kLruMaxWays], or less than one set). */
     DramCache(std::uint64_t size_bytes, unsigned ways);
-
-    /** Install the in-place write-back hook (non-owning). */
-    void setWriteBack(WriteBackFn fn) { _writeBack = fn; }
-
-    /**
-     * Observation hook fired on every eviction with the victim line
-     * and an obs::EvictReason code. Purely diagnostic: must not touch
-     * simulated state. Non-owning, same lifetime rule as WriteBackFn.
-     */
-    using EvictHookFn = FunctionRef<void(Addr line_base, int reason)>;
-
-    void setEvictHook(EvictHookFn fn) { _evictHook = fn; }
-
-    /** Attach a persistence probe (write-backs and drops). */
-    void setProbe(PersistProbe *probe) { _probe = probe; }
 
     /** Find a live entry (valid and not invalidated). Counts hit/miss. */
     DramCacheEntry *lookup(Addr line_base);
@@ -111,12 +126,25 @@ class DramCache
     DramCacheEntry *peek(Addr line_base);
 
     /**
-     * Insert (or refresh) an entry for @p line_base.
-     * Eviction of a committed dirty victim triggers the write-back
-     * callback; eviction of an uncommitted victim just drops it (its
-     * data is recoverable from the redo log) and is counted.
+     * Insertion, step 1: the slot that (re)inserting @p line_base for
+     * @p tx takes, and what that does to the entry there. The slot is
+     * the line's own entry if present (even invalidated); else the
+     * first free way; else the first invalidated entry in way order,
+     * then the least recently used entry no transaction owns, then the
+     * least recently used entry. Eviction and write-back statistics
+     * are counted here. The entry is left intact so the caller can
+     * write it back or drop it in place; the cache must not be used
+     * again before install().
      */
-    DramCacheEntry *insert(Addr line_base, TxId tx);
+    Slot victimFor(Addr line_base, TxId tx);
+
+    /**
+     * Insertion, step 2: give @p slot (from victimFor) to @p line_base,
+     * owned by @p tx. The line's own entry is refreshed in place and
+     * keeps its bytes (a superseded one stops being dirty); any other
+     * entry is destroyed and a fresh one constructed.
+     */
+    DramCacheEntry &install(Slot slot, Addr line_base, TxId tx);
 
     /**
      * Commit a single entry of @p tx (overflow-list driven): store the
@@ -129,8 +157,13 @@ class DramCache
     /** Invalidate one entry of @p tx (overflow-list driven abort). */
     void invalidateEntry(Addr line_base, TxId tx);
 
-    /** Flush every committed dirty entry to in-place NVM (tests). */
-    void flushAll();
+    /** Mark committed dirty @p e written back (counted as one). */
+    void
+    clean(DramCacheEntry &e)
+    {
+        e.dirty = false;
+        ++_stats.writeBacks;
+    }
 
     template <typename Fn>
     void
@@ -151,7 +184,6 @@ class DramCache
     std::uint64_t setIndex(Addr line_base) const;
     /** Mark the live entry @p e most recently used. */
     void touch(const DramCacheEntry &e);
-    void evict(DramCacheEntry &victim);
 
     unsigned _ways;
     std::uint64_t _numSets;
@@ -165,9 +197,6 @@ class DramCache
     ReuseArray<Addr> _tags;
     /** Recency order of each set, one word per set. */
     ReuseArray<std::uint64_t> _order;
-    WriteBackFn _writeBack;
-    EvictHookFn _evictHook;
-    PersistProbe *_probe = nullptr;
     Stats _stats;
 };
 

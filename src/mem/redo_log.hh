@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "check/persist_probe.hh"
 #include "sim/line_map.hh"
 #include "mem/backing_store.hh"
 #include "sim/types.hh"
@@ -64,15 +63,23 @@ class RedoLogArea
     {
     }
 
+    /** What append() did. */
+    struct Append
+    {
+        /** The record's durability stamp after the write. */
+        Tick durableAt;
+        /** The write coalesced into the line's existing record. */
+        bool coalesced;
+    };
+
     /**
      * Record the new image of @p line for @p tx.
      * A second write to an already-logged line coalesces into the
-     * existing record (write-combining in the log buffer) and refreshes
-     * its durability stamp.
-     * @retval true a new record was appended (charge a log write);
-     * @retval false the record was coalesced.
+     * existing record (write-combining in the log buffer); the record
+     * is durable once both writes are, so its stamp becomes the later
+     * of the two. Only a fresh record is charged a log write.
      */
-    bool
+    Append
     append(TxId tx, Addr line,
            const std::array<std::uint8_t, kLineBytes> &new_data,
            Tick durable_at)
@@ -89,37 +96,14 @@ class RedoLogArea
             e.newData = new_data;
             e.durableAt = std::max(e.durableAt, durable_at);
             ++_stats.coalesced;
-            // Coalesced writes still go through the log buffer: they
-            // are persistence-ordering points like fresh appends.
-            if (_probe) {
-                _probe->notifyPersist(PersistPoint::RedoLogAppend, line,
-                                      e.durableAt, new_data.data());
-            }
-            return false;
+            return {e.durableAt, true};
         }
         txlog.lines.emplace(line, txlog.entries.size());
         txlog.entries.push_back(RedoEntry{line, new_data, durable_at});
         ++_stats.appends;
         _bytes += kEntryBytes;
         _stats.peakBytes = std::max(_stats.peakBytes, _bytes);
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::RedoLogAppend, line,
-                                  durable_at, new_data.data());
-        }
-        return true;
-    }
-
-    /** Latest durability stamp over all records of @p tx (0 if none). */
-    Tick
-    logsDurableAt(TxId tx) const
-    {
-        auto it = _logs.find(tx);
-        if (it == _logs.end())
-            return 0;
-        Tick t = 0;
-        for (const auto &e : it->second.entries)
-            t = std::max(t, e.durableAt);
-        return t;
+        return {durable_at, false};
     }
 
     /** Number of records held for @p tx. */
@@ -159,10 +143,6 @@ class RedoLogArea
         it->second.commitSeq = _nextCommitSeq++;
         it->second.commitDurableAt = commit_durable_at;
         ++_stats.commits;
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::CommitMark, 0,
-                                  commit_durable_at, nullptr);
-        }
     }
 
     /**
@@ -331,9 +311,6 @@ class RedoLogArea
     /** Reserved capacity in bytes. */
     std::uint64_t capacity() const { return _capacity; }
 
-    /** Attach a persistence probe (appends and commit records). */
-    void setProbe(PersistProbe *probe) { _probe = probe; }
-
     const Stats &stats() const { return _stats; }
 
   private:
@@ -388,7 +365,6 @@ class RedoLogArea
     std::vector<TxLog> _pool;
     std::size_t _liveHighWater = 0;
     Stats _stats;
-    PersistProbe *_probe = nullptr;
 };
 
 } // namespace uhtm

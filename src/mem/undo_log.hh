@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "check/persist_probe.hh"
 #include "sim/line_map.hh"
 #include "sim/types.hh"
 
@@ -79,10 +78,6 @@ class UndoLogArea
         _bytes += kEntryBytes;
         if (_bytes > _stats.peakBytes)
             _stats.peakBytes = _bytes;
-        if (_probe) {
-            _probe->notifyPersist(PersistPoint::UndoLogAppend, line, 0,
-                                  old_data.data());
-        }
         return true;
     }
 
@@ -110,9 +105,6 @@ class UndoLogArea
     commit(TxId tx)
     {
         ++_stats.commitMarks;
-        if (_probe)
-            _probe->notifyPersist(PersistPoint::UndoCommitMark, 0, 0,
-                                  nullptr);
         reclaim(tx);
     }
 
@@ -130,12 +122,6 @@ class UndoLogArea
             _stats.restores += out.size();
         }
         reclaim(tx);
-        if (_probe) {
-            for (const UndoEntry &e : out) {
-                _probe->notifyPersist(PersistPoint::UndoCopyBack, e.line,
-                                      0, e.oldData.data());
-            }
-        }
         return out;
     }
 
@@ -154,9 +140,6 @@ class UndoLogArea
 
     /** True if an append would exceed the reserved area. */
     bool full() const { return _bytes + kEntryBytes > _capacity; }
-
-    /** Attach a persistence probe (appends, marks, copy-backs). */
-    void setProbe(PersistProbe *probe) { _probe = probe; }
 
     const Stats &stats() const { return _stats; }
 
@@ -187,7 +170,6 @@ class UndoLogArea
     std::uint64_t _bytes = 0;
     std::unordered_map<TxId, TxLog> _logs;
     Stats _stats;
-    PersistProbe *_probe = nullptr;
 };
 
 } // namespace uhtm

@@ -357,7 +357,7 @@ TEST(ReuseArray, FreeSlotsArePoisonedUnderAsan)
         // The DRAM cache: an inserted entry is not poisoned, the free
         // way next to it is.
         DramCache dc(kReuseMinBytes, 16);
-        DramCacheEntry *e = dc.insert(line, 1);
+        DramCacheEntry *e = &dc.install(dc.victimFor(line, 1), line, 1);
         EXPECT_TRUE(clear(e, sizeof(DramCacheEntry)));
         EXPECT_TRUE(poisoned(e + 1, sizeof(DramCacheEntry)));
     });

@@ -149,7 +149,7 @@ TEST(Protocol, CommitPublishesNvmWriteSetToDramCache)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->tx, kNoTx);
     EXPECT_TRUE(e->dirty);
-    f.sys.dramCache().flushAll();
+    f.sys.flushDramCache();
     f.eq.run();
     EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 0xbeefu);
     (void)id;

@@ -73,11 +73,12 @@ TEST(UndoLog, CapacityAccounting)
 TEST(RedoLog, CoalescesRepeatedWrites)
 {
     RedoLogArea log(MiB(1));
-    EXPECT_TRUE(log.append(1, 0x1000, lineOf(0x11), 100));
-    EXPECT_FALSE(log.append(1, 0x1000, lineOf(0x22), 250))
-        << "same line coalesces in the log buffer";
+    EXPECT_FALSE(log.append(1, 0x1000, lineOf(0x11), 100).coalesced);
+    const RedoLogArea::Append again =
+        log.append(1, 0x1000, lineOf(0x22), 250);
+    EXPECT_TRUE(again.coalesced) << "same line coalesces in the log buffer";
     EXPECT_EQ(log.entryCount(1), 1u);
-    EXPECT_EQ(log.logsDurableAt(1), 250u)
+    EXPECT_EQ(again.durableAt, 250u)
         << "coalescing refreshes the durability stamp";
     EXPECT_EQ(log.stats().coalesced, 1u);
 }
@@ -134,11 +135,15 @@ TEST(RedoLog, AbortedLogsAreDisregardedAndReclaimed)
 
 TEST(RedoLog, DurabilityHorizonIsMaxOverEntries)
 {
+    // Each record reports its own stamp; a write coalesced into a
+    // record is durable only once both writes are, so the record keeps
+    // the later stamp even when the new write would be durable sooner.
     RedoLogArea log(MiB(1));
-    log.append(1, 0x1000, lineOf(1), 300);
-    log.append(1, 0x1040, lineOf(2), 700);
-    log.append(1, 0x1080, lineOf(3), 500);
-    EXPECT_EQ(log.logsDurableAt(1), 700u);
+    EXPECT_EQ(log.append(1, 0x1000, lineOf(1), 300).durableAt, 300u);
+    EXPECT_EQ(log.append(1, 0x1040, lineOf(2), 700).durableAt, 700u);
+    EXPECT_EQ(log.append(1, 0x1080, lineOf(3), 500).durableAt, 500u);
+    EXPECT_EQ(log.append(1, 0x1040, lineOf(4), 400).durableAt, 700u);
+    EXPECT_EQ(log.append(1, 0x1080, lineOf(5), 600).durableAt, 600u);
 }
 
 TEST(RedoLog, ReclaimCommittedFreesSpace)

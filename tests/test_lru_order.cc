@@ -321,7 +321,7 @@ refDramVictim(const RefSet &s)
 /**
  * Random lookup / refresh insert / new insert / invalidateEntry /
  * commitEntry on a two-set DramCache and its reference; the evicted
- * tag is read through the evict hook.
+ * tag is read from victimFor's slot before install.
  */
 void
 dramDifferential(unsigned ways, std::uint64_t seed)
@@ -329,9 +329,6 @@ dramDifferential(unsigned ways, std::uint64_t seed)
     constexpr std::uint64_t kSets = 2;
     DramCache dc(kSets * ways * kLineBytes, ways);
     ASSERT_EQ(dc.capacityLines(), kSets * ways);
-    std::vector<Addr> evicted;
-    auto hook = [&](Addr line, int) { evicted.push_back(line); };
-    dc.setEvictHook(hook);
     RefSet ref[kSets];
     DramCacheEntry *base[kSets] = {};
     for (RefSet &s : ref)
@@ -354,19 +351,19 @@ dramDifferential(unsigned ways, std::uint64_t seed)
             const int want = at >= 0 ? at : refDramVictim(s);
             const bool wantVictim = at < 0 && s.ways[want].valid;
             const Addr victimTag = s.ways[want].tag;
-            evicted.clear();
-            DramCacheEntry *e = dc.insert(tag, tx);
+            const DramCache::Slot slot = dc.victimFor(tag, tx);
+            const bool evicts = slot.evicts();
+            const Addr evictedTag = evicts ? slot.entry->tag : 0;
+            DramCacheEntry *e = &dc.install(slot, tag, tx);
             if (!base[set]) {
                 ASSERT_EQ(want, 0) << "a fresh set fills way 0 first";
                 base[set] = e;
             }
             ASSERT_EQ(e - base[set], want) << "insert way";
+            ASSERT_EQ(evicts, wantVictim);
             if (wantVictim) {
-                ASSERT_EQ(evicted.size(), 1u);
-                EXPECT_EQ(evicted[0], victimTag);
+                EXPECT_EQ(evictedTag, victimTag);
                 ++evictions;
-            } else {
-                ASSERT_TRUE(evicted.empty());
             }
             if (at < 0)
                 s.ways[want] = RefWay{true, tag, 0, false};

@@ -188,39 +188,106 @@ TEST(Cache, TxReaderListOperations)
     EXPECT_FALSE(line.txBit());
 }
 
+/** Insert @p line for @p tx into a bare DRAM cache, ignoring the
+ *  victim; returns the entry. */
+DramCacheEntry &
+insert(DramCache &dc, Addr line, TxId tx)
+{
+    return dc.install(dc.victimFor(line, tx), line, tx);
+}
+
+std::array<std::uint8_t, kLineBytes>
+filled(std::uint8_t b)
+{
+    std::array<std::uint8_t, kLineBytes> d;
+    d.fill(b);
+    return d;
+}
+
+/**
+ * A tiny machine whose DRAM cache has 2 sets x 2 ways, recording every
+ * persist point HtmSystem announces with the first byte it carries.
+ */
+struct DramCacheMachine
+{
+    struct Rec
+    {
+        PersistPoint point;
+        Addr line;
+        bool hadBytes;
+        std::uint8_t firstByte;
+    };
+
+    static MachineConfig
+    config()
+    {
+        MachineConfig c = MachineConfig::tiny();
+        c.dramCacheBytes = 4 * kLineBytes;
+        c.dramCacheWays = 2;
+        return c;
+    }
+
+    EventQueue eq;
+    HtmSystem sys{eq, config(), HtmPolicy::uhtmOpt(512)};
+    FaultInjector fi{eq};
+    DomainId dom = sys.createDomain("p0");
+    std::vector<Rec> recs;
+
+    DramCacheMachine()
+    {
+        sys.setFaultInjector(&fi);
+        fi.setOnPoint([this](const PersistEvent &ev, const std::uint8_t *b) {
+            recs.push_back({ev.point, ev.line, b != nullptr,
+                            b ? b[0] : std::uint8_t{0}});
+        });
+    }
+
+    /** DRAM-cache set 0 holds NVM lines 2 * k. */
+    static Addr
+    nvmLine(unsigned k)
+    {
+        return MemLayout::kNvmBase + MiB(4) + 2 * k * kLineBytes;
+    }
+
+    /** Non-transactional load of @p line from core 1: an LLC miss
+     *  that, for an NVM line, fills the DRAM cache. */
+    void load(Addr line) { sys.issueAccess(1, dom, line, false, false, 0); }
+};
+
 TEST(DramCache, InsertLookupCommitFlow)
 {
-    DramCache dc(KiB(64), 4);
-    Addr written_line = 0;
-    std::array<std::uint8_t, kLineBytes> written{};
-    // Named local: setWriteBack takes a non-owning FunctionRef.
-    auto record_wb = [&](Addr line,
-                         const std::array<std::uint8_t, kLineBytes> &d) {
-        written_line = line;
-        written = d;
-    };
-    dc.setWriteBack(record_wb);
+    DramCacheMachine m;
+    DramCache &dc = m.sys.dramCache();
+    const Addr line = DramCacheMachine::nvmLine(0);
+    DramCacheEntry &e = insert(dc, line, /*tx=*/5);
+    EXPECT_EQ(e.tx, 5u);
+    EXPECT_FALSE(e.committedDirty());
 
-    const Addr line = 0x400000000000ull;
-    DramCacheEntry *e = dc.insert(line, /*tx=*/5);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->tx, 5u);
+    EXPECT_TRUE(dc.commitEntry(line, 5, filled(0xaa)));
+    ASSERT_EQ(dc.lookup(line), &e);
+    EXPECT_TRUE(e.committedDirty());
 
-    std::array<std::uint8_t, kLineBytes> data{};
-    data[0] = 0xaa;
-    EXPECT_TRUE(dc.commitEntry(line, 5, data));
-    EXPECT_NE(dc.lookup(line), nullptr);
-
-    dc.flushAll();
-    EXPECT_EQ(written_line, line);
-    EXPECT_EQ(written[0], 0xaa);
+    // Draining the cache writes the committed bytes in place.
+    m.sys.flushDramCache();
+    ASSERT_EQ(m.recs.size(), 2u);
+    EXPECT_EQ(m.recs[0].point, PersistPoint::DramCacheWriteback);
+    EXPECT_EQ(m.recs[1].point, PersistPoint::InPlaceNvmWrite);
+    for (const auto &r : m.recs) {
+        EXPECT_EQ(r.line, line);
+        EXPECT_EQ(r.firstByte, 0xaa);
+    }
+    EXPECT_FALSE(e.dirty);
+    EXPECT_EQ(dc.stats().writeBacks, 1u);
+    m.eq.run();
+    EXPECT_EQ(m.sys.durableNvm().read64(line), 0xaaaaaaaaaaaaaaaaull);
+    m.sys.setFaultInjector(nullptr);
 }
 
 TEST(DramCache, AbortInvalidatesUncommitted)
 {
     DramCache dc(KiB(64), 4);
     const Addr line = 0x400000000000ull;
-    dc.insert(line, 7);
+    insert(dc, line, 7);
     dc.invalidateEntry(line, 7);
     EXPECT_EQ(dc.lookup(line), nullptr)
         << "invalidated entries must not hit";
@@ -232,102 +299,74 @@ TEST(DramCache, AbortInvalidatesUncommitted)
 
 TEST(DramCache, EvictionWritesBackOnlyCommittedDirty)
 {
+    using Victim = DramCache::Victim;
     DramCache dc(4 * kLineBytes, 2); // 2 sets x 2 ways
-    int writebacks = 0;
-    auto count_wb = [&](Addr, const std::array<std::uint8_t, kLineBytes> &) {
-        ++writebacks;
-    };
-    dc.setWriteBack(count_wb);
     // Fill one set (stride = numSets * 64).
     const Addr base = 0x400000000000ull;
     const Addr stride = 2 * kLineBytes;
-    std::array<std::uint8_t, kLineBytes> data{};
-    dc.insert(base, 1);
-    dc.commitEntry(base, 1, data);
-    dc.insert(base + stride, 2); // uncommitted
-    // Overflowing the set evicts the LRU committed-dirty entry with a
-    // write-back; the uncommitted entry is protected while any other
-    // victim exists.
-    dc.insert(base + 2 * stride, kNoTx);
-    EXPECT_EQ(writebacks, 1) << "committed dirty entry written back";
+    insert(dc, base, 1);
+    dc.commitEntry(base, 1, filled(0xaa));
+    insert(dc, base + stride, 2); // uncommitted
+    // Overflowing the set evicts the LRU committed-dirty entry for a
+    // write-back of its bytes; the uncommitted entry is protected while
+    // any other victim exists.
+    DramCache::Slot slot = dc.victimFor(base + 2 * stride, kNoTx);
+    ASSERT_EQ(slot.victim, Victim::WriteBack);
+    EXPECT_EQ(slot.entry->tag, base);
+    EXPECT_EQ(slot.entry->data[0], 0xaa);
+    dc.install(slot, base + 2 * stride, kNoTx);
+    EXPECT_EQ(dc.stats().writeBacks, 1u);
     EXPECT_EQ(dc.stats().uncommittedDrops, 0u);
     EXPECT_NE(dc.peek(base + stride), nullptr);
 
-    // Force the drop: make every way uncommitted, then overflow.
-    dc.insert(base + 3 * stride, 3); // evicts the clean kNoTx entry
-    dc.insert(base + 4 * stride, 4); // both ways uncommitted -> drop
-    EXPECT_EQ(dc.stats().uncommittedDrops, 1u)
+    // The clean kNoTx entry goes next, with nothing to write.
+    slot = dc.victimFor(base + 3 * stride, 3);
+    EXPECT_EQ(slot.victim, Victim::Clean);
+    EXPECT_EQ(slot.entry->tag, base + 2 * stride);
+    dc.install(slot, base + 3 * stride, 3);
+    // Force the drop: every way is uncommitted now.
+    slot = dc.victimFor(base + 4 * stride, 4);
+    EXPECT_EQ(slot.victim, Victim::UncommittedDrop)
         << "a set full of uncommitted entries must still make room";
-    EXPECT_EQ(writebacks, 1) << "dropped entries write nothing in place";
+    EXPECT_EQ(slot.entry->tag, base + stride) << "the LRU entry";
+    dc.install(slot, base + 4 * stride, 4);
+    EXPECT_EQ(dc.stats().uncommittedDrops, 1u);
+    EXPECT_EQ(dc.stats().writeBacks, 1u)
+        << "dropped entries write nothing in place";
+    EXPECT_EQ(dc.stats().evictions, 3u);
 }
-
-/** Probe recording every persistence-ordering notification. */
-struct RecordingProbe : PersistProbe
-{
-    struct Rec
-    {
-        PersistPoint point;
-        Addr line;
-        bool hadBytes;
-        std::uint8_t firstByte;
-    };
-    std::vector<Rec> recs;
-
-    void
-    notifyPersist(PersistPoint point, Addr line, Tick,
-                  const std::uint8_t *bytes) override
-    {
-        recs.push_back({point, line, bytes != nullptr,
-                        bytes ? bytes[0] : std::uint8_t{0}});
-    }
-
-    std::size_t
-    countOf(PersistPoint p) const
-    {
-        std::size_t n = 0;
-        for (const auto &r : recs)
-            n += r.point == p;
-        return n;
-    }
-};
 
 TEST(DramCache, EvictingDirtyTxLineMidTransactionDropsWithNotify)
 {
     // A set full of *uncommitted* transactional entries forced to make
     // room must drop an entry (its bytes stay recoverable from the redo
-    // log) and announce the drop to the probe -- with no bytes and no
-    // in-place write-back, which would leak speculative data to NVM.
-    DramCache dc(4 * kLineBytes, 2); // 2 sets x 2 ways
-    RecordingProbe probe;
-    dc.setProbe(&probe);
-    int writebacks = 0;
-    auto count_wb = [&](Addr, const std::array<std::uint8_t, kLineBytes> &) {
-        ++writebacks;
-    };
-    dc.setWriteBack(count_wb);
-
-    const Addr base = 0x400000000000ull;
-    const Addr stride = 2 * kLineBytes; // same set
-    dc.insert(base, 1);
-    dc.insert(base + stride, 2);
-    dc.insert(base + 2 * stride, 3); // overflow: must drop the LRU
+    // log) and announce the drop -- with no bytes and no in-place
+    // write-back, which would leak speculative data to NVM.
+    DramCacheMachine m;
+    DramCache &dc = m.sys.dramCache();
+    const Addr l0 = DramCacheMachine::nvmLine(0);
+    const Addr l1 = DramCacheMachine::nvmLine(1);
+    insert(dc, l0, 1);
+    insert(dc, l1, 2);
+    m.load(DramCacheMachine::nvmLine(2)); // overflow: must drop the LRU
     EXPECT_EQ(dc.stats().uncommittedDrops, 1u);
-    ASSERT_EQ(probe.countOf(PersistPoint::DramCacheDrop), 1u);
-    EXPECT_EQ(probe.recs[0].line, base) << "LRU uncommitted entry";
-    EXPECT_FALSE(probe.recs[0].hadBytes)
-        << "drops carry no data towards NVM";
-    EXPECT_EQ(writebacks, 0)
+    ASSERT_EQ(m.recs.size(), 1u)
         << "speculative bytes must never be written back in place";
+    EXPECT_EQ(m.recs[0].point, PersistPoint::DramCacheDrop);
+    EXPECT_EQ(m.recs[0].line, l0) << "LRU uncommitted entry";
+    EXPECT_FALSE(m.recs[0].hadBytes) << "drops carry no data towards NVM";
 
-    // Aborted (invalidated) entries are reclaimed silently: no probe
-    // notification, no write-back, no drop accounting.
-    dc.invalidateEntry(base + stride, 2);
-    probe.recs.clear();
-    dc.insert(base + 3 * stride, 4);
-    EXPECT_TRUE(probe.recs.empty())
+    // Aborted (invalidated) entries are reclaimed silently: no persist
+    // point, no write-back, no drop accounting.
+    dc.invalidateEntry(l1, 2);
+    m.recs.clear();
+    m.load(DramCacheMachine::nvmLine(3));
+    EXPECT_EQ(dc.peek(l1), nullptr) << "the invalidated entry was the victim";
+    EXPECT_TRUE(m.recs.empty())
         << "invalidated victims vanish without a persistence event";
     EXPECT_EQ(dc.stats().uncommittedDrops, 1u);
-    EXPECT_EQ(writebacks, 0);
+    EXPECT_EQ(dc.stats().writeBacks, 0u);
+    m.sys.setFaultInjector(nullptr);
 }
 
 TEST(DramCache, SupersedingCommittedEntryWritesBackOldDataFirst)
@@ -335,34 +374,42 @@ TEST(DramCache, SupersedingCommittedEntryWritesBackOldDataFirst)
     // A new speculative write landing on a committed-dirty entry for
     // the same line must push the committed bytes to in-place NVM
     // before the entry is reused, or an abort of the new transaction
-    // would lose them.
-    DramCache dc(KiB(64), 4);
-    RecordingProbe probe;
-    dc.setProbe(&probe);
-    Addr wb_line = 0;
-    std::array<std::uint8_t, kLineBytes> wb_data{};
-    auto record_wb = [&](Addr line,
-                         const std::array<std::uint8_t, kLineBytes> &d) {
-        wb_line = line;
-        wb_data = d;
-    };
-    dc.setWriteBack(record_wb);
+    // would lose them. Here the write reaches the DRAM cache as an LLC
+    // overflow of the writing transaction.
+    DramCacheMachine m;
+    DramCache &dc = m.sys.dramCache();
+    const Addr line = DramCacheMachine::nvmLine(0);
+    insert(dc, line, 5);
+    ASSERT_TRUE(dc.commitEntry(line, 5, filled(0xaa)));
 
-    const Addr line = 0x400000000000ull;
-    dc.insert(line, 5);
-    std::array<std::uint8_t, kLineBytes> committed{};
-    committed[0] = 0xaa;
-    ASSERT_TRUE(dc.commitEntry(line, 5, committed));
+    const TxDesc *tx = m.sys.beginTx(0, m.dom, 0);
+    m.sys.issueAccess(0, m.dom, line, true, true, 0x5555555555555555ull);
+    m.recs.clear();
+    // Load DRAM lines of the same LLC set until the written line is
+    // the LRU victim and overflows into the DRAM cache.
+    const std::uint64_t llcSetBytes =
+        m.sys.llc().capacityLines() / DramCacheMachine::config().llcWays *
+        kLineBytes;
+    for (unsigned k = 1; k <= DramCacheMachine::config().llcWays; ++k)
+        m.load(MemLayout::kDramBase + (line - MemLayout::kNvmBase) +
+               k * llcSetBytes);
+    ASSERT_TRUE(tx->overflowed);
 
-    DramCacheEntry *e = dc.insert(line, /*tx=*/9); // supersede
+    ASSERT_EQ(m.recs.size(), 2u);
+    EXPECT_EQ(m.recs[0].point, PersistPoint::DramCacheWriteback);
+    EXPECT_EQ(m.recs[1].point, PersistPoint::InPlaceNvmWrite);
+    for (const auto &r : m.recs) {
+        EXPECT_EQ(r.line, line);
+        EXPECT_EQ(r.firstByte, 0xaa)
+            << "the write-back must carry the *old* committed image";
+    }
+    const DramCacheEntry *e = dc.peek(line);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->tx, 9u);
+    EXPECT_EQ(e->tx, tx->id);
     EXPECT_FALSE(e->dirty);
-    ASSERT_EQ(probe.countOf(PersistPoint::DramCacheWriteback), 1u);
-    EXPECT_EQ(probe.recs[0].firstByte, 0xaa)
-        << "the notification must carry the *old* committed image";
-    EXPECT_EQ(wb_line, line);
-    EXPECT_EQ(wb_data[0], 0xaa);
+    EXPECT_EQ(e->data[0], 0x55) << "then the entry takes the new image";
+    EXPECT_EQ(dc.stats().writeBacks, 1u);
+    m.sys.setFaultInjector(nullptr);
 }
 
 TEST(DramCache, LazyInPlaceNvmUpdateOrdersAfterCommitMark)
@@ -417,7 +464,7 @@ TEST(DramCache, LazyInPlaceNvmUpdateOrdersAfterCommitMark)
 
     // Drain the cache: the write-backs become in-place NVM writes and
     // each one completes strictly after the commit record.
-    sys.dramCache().flushAll();
+    sys.flushDramCache();
     eq.run();
     EXPECT_GE(fi.countOf(PersistPoint::DramCacheWriteback),
               static_cast<std::uint64_t>(kLines));
@@ -466,9 +513,10 @@ fillEverySet(Cache &llc, DramCache &dc)
     std::array<std::uint8_t, kLineBytes> data;
     data.fill(0x5a);
     for (std::uint64_t i = 0; i < dc.capacityLines(); ++i) {
-        dc.insert(lineAt(i), 1 + i % 7);
+        const TxId tx = 1 + i % 7;
+        dc.install(dc.victimFor(lineAt(i), tx), lineAt(i), tx);
         if (i % 2)
-            dc.commitEntry(lineAt(i), 1 + i % 7, data);
+            dc.commitEntry(lineAt(i), tx, data);
         dc.lookup(lineAt(i));
     }
 }

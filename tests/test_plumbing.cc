@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "htm/tx_context.hh"
 
 namespace uhtm
@@ -20,17 +22,15 @@ TEST(Tss, AddRemoveAndDomainIndexing)
     const DomainId d1 = tss.createDomain("b");
     ASSERT_EQ(tss.domainCount(), 2u);
 
-    TxDesc t1(1, 0, d0, 512, 4), t2(2, 1, d1, 512, 4),
-        t3(3, 2, d0, 512, 4);
-    tss.add(&t1);
-    tss.add(&t2);
-    tss.add(&t3);
+    TxDesc *t1 = tss.add(std::make_unique<TxDesc>(1, 0, d0, 512, 4));
+    TxDesc *t2 = tss.add(std::make_unique<TxDesc>(2, 1, d1, 512, 4));
+    tss.add(std::make_unique<TxDesc>(3, 2, d0, 512, 4));
     EXPECT_EQ(tss.active().size(), 3u);
     EXPECT_EQ(tss.activeInDomain(d0).size(), 2u);
     EXPECT_EQ(tss.activeInDomain(d1).size(), 1u);
-    EXPECT_EQ(tss.byId(2), &t2);
+    EXPECT_EQ(tss.byId(2), t2);
 
-    tss.remove(&t1);
+    tss.remove(t1);
     EXPECT_EQ(tss.byId(1), nullptr);
     EXPECT_EQ(tss.activeInDomain(d0).size(), 1u);
 }

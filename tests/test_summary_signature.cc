@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/scheduler.hh"
@@ -32,7 +31,6 @@ struct Harness
 {
     Tss tss;
     std::vector<DomainId> domains;
-    std::unordered_map<TxId, std::unique_ptr<TxDesc>> live;
     TxId nextId = 1;
 
     explicit Harness(unsigned ndomains)
@@ -46,13 +44,8 @@ struct Harness
     TxDesc *
     begin(DomainId dom)
     {
-        auto tx = std::make_unique<TxDesc>(nextId, /*core=*/0, dom,
-                                           kSigBits, kSigHashes);
-        TxDesc *ptr = tx.get();
-        live.emplace(nextId, std::move(tx));
-        ++nextId;
-        tss.add(ptr);
-        return ptr;
+        return tss.add(std::make_unique<TxDesc>(nextId++, /*core=*/0, dom,
+                                                kSigBits, kSigHashes));
     }
 
     void
@@ -60,7 +53,6 @@ struct Harness
     {
         tx->status = commit ? TxStatus::Committed : TxStatus::Aborted;
         tss.remove(tx);
-        live.erase(tx->id);
     }
 
     /** Ground truth: would any member's per-tx probe hit this line? */
@@ -84,7 +76,7 @@ TEST(SummarySignature, NeverFalseNegativeUnderChurn)
         const DomainId dom = h.domains[rng.next() % h.domains.size()];
         const unsigned op = rng.next() % 100;
         if (op < 25 || h.tss.activeInDomain(dom).empty()) {
-            if (h.live.size() < 24)
+            if (h.tss.active().size() < 24)
                 h.begin(dom);
         } else if (op < 40) {
             const auto &act = h.tss.activeInDomain(dom);
