@@ -262,36 +262,52 @@ TEST(CrashSweep, SchedulePinned)
     // and an armed crash is scheduled when its point is notified, so a
     // change that reorders, adds or drops a point, or moves one in
     // time, renumbers every later crash. The constants pin the
-    // schedules point for point; the cache-pressure case adds the
-    // DRAM-cache write-backs that the default caches never make.
+    // schedules point for point. The cache-pressure cases add the
+    // DRAM-cache write-backs that the default caches never make; the
+    // last one shrinks the DRAM cache to two ways, so that speculative
+    // entries are evicted too (DRAM-cache drops).
     struct Case
     {
         const char *name;
         bool kv;
-        bool pressure;
+        /** LLC bytes, DRAM-cache bytes and ways; 0 keeps the tiny
+         *  machine's geometry and seed 1. */
+        std::uint64_t llcBytes, dramCacheBytes;
+        unsigned dramCacheWays;
+        std::uint64_t txPerWorker;
         std::uint64_t points;
         std::uint64_t digest;
     };
     const Case cases[] = {
-        {"kv_hybrid", true, false, 1840, 0x06fb2ba6d00723c6ull},
-        {"btree", false, false, 906, 0xc55c655c1b888b7aull},
-        {"kv_hybrid under cache pressure", true, true, 3666,
-         0x3265552301ed897aull},
+        {"kv_hybrid", true, 0, 0, 0, 4, 1840, 0x06fb2ba6d00723c6ull},
+        {"btree", false, 0, 0, 0, 6, 906, 0xc55c655c1b888b7aull},
+        {"kv_hybrid under cache pressure", true, KiB(16), KiB(16), 0, 4,
+         3666, 0x3265552301ed897aull},
+        {"kv_hybrid with DRAM-cache drops", true, KiB(8), KiB(1), 2, 6,
+         5746, 0x554d2e7fcf9224ccull},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
         CrashSweepConfig cfg;
-        if (c.pressure) {
-            cfg.mcfg.llcBytes = KiB(16);
-            cfg.mcfg.dramCacheBytes = KiB(16);
+        if (c.llcBytes) {
+            cfg.mcfg.llcBytes = c.llcBytes;
+            cfg.mcfg.dramCacheBytes = c.dramCacheBytes;
+            if (c.dramCacheWays)
+                cfg.mcfg.dramCacheWays = c.dramCacheWays;
             cfg.seed = 3;
         }
-        CrashSweepRunner runner(cfg, c.kv
-                                         ? CrashSweepRunner::kvHybridWorkload()
-                                         : CrashSweepRunner::btreeWorkload());
+        CrashSweepRunner runner(
+            cfg, c.kv ? CrashSweepRunner::kvHybridWorkload(3, c.txPerWorker)
+                      : CrashSweepRunner::btreeWorkload(3, c.txPerWorker));
         const CrashSweepResult res = runner.sweep();
+        EXPECT_TRUE(res.passed()) << describe(res);
         EXPECT_EQ(res.points, c.points);
         EXPECT_EQ(scheduleDigest(res.schedule), c.digest);
+        if (c.dramCacheWays) {
+            EXPECT_GT(res.pointsByKind[static_cast<std::size_t>(
+                          PersistPoint::DramCacheDrop)],
+                      0u);
+        }
     }
 }
 
