@@ -129,6 +129,10 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
         const std::string arg = argv[i];
         std::uint64_t v = 0;
         double f = 0.0;
+        if (arg == "--out=" || arg == "--trace=" || arg == "--filter=") {
+            err = arg.substr(0, arg.size() - 1) + ": empty value";
+            return false;
+        }
         if (arg == "--quick") {
             opts.fig.quick = true;
         } else if (arg == "--tiny") {

@@ -519,9 +519,6 @@ HtmSystem::prewarmLlc(Addr base, std::uint64_t lines)
         // Pre-warm happens before any transaction exists; evicted
         // lines are clean prewarm lines, so no protocol action needed.
         _llc.install(s, line);
-        s->sharers = 0;
-        s->ownerCore = kNoCore;
-        s->dirty = false;
     }
 }
 

@@ -104,6 +104,8 @@ TEST(NumParse, BenchFlagsRejectMalformedNumbers)
         "--rw-mix=2",
         // Sidecars with nowhere to go would be computed and dropped.
         "--metrics", "--wall",
+        // An empty value would silently mean "no JSON/trace/filter".
+        "--out=", "--trace=", "--filter=",
     };
     for (const char *flag : bad) {
         BenchCliOpts opts;

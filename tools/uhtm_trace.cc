@@ -209,6 +209,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::uint64_t v = 0;
+        if (arg == "--figure=" || arg == "--out=" || arg == "--chrome=") {
+            std::fprintf(stderr, "uhtm_trace: empty value: %s\n",
+                         arg.c_str());
+            return 2;
+        }
         if (arg.rfind("--figure=", 0) == 0) {
             figure = arg.substr(9);
         } else if (arg.rfind("--out=", 0) == 0) {
