@@ -19,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/layout.hh"
-#include "mem/lru_order.hh"
-#include "sim/reuse_alloc.hh"
+#include "mem/set_array.hh"
 #include "sim/small_vec.hh"
 #include "sim/types.hh"
 
@@ -120,18 +118,8 @@ struct alignas(64) CacheLine
 static_assert(sizeof(CacheLine) == 64, "a CacheLine fills one host line");
 
 /**
- * A set-associative tag array with LRU replacement.
- *
- * Each set's recency order is one word of _order (mem/lru_order.hh),
- * so the LRU way is known without reading the set's lines, and
- * prefetchVictim() can fetch it ahead of the access that evicts it.
- *
- * The tag array is the only record of which slots hold a line. Line
- * storage is raw and recycled (sim/reuse_alloc.hh): a slot is
- * constructed by install() and destroyed by drop(), invalidate(),
- * eviction (install() over a victim) and ~Cache, so building a cache
- * writes only its tags. Code outside the cache that removes a line
- * must call drop(), never clear the line in place.
+ * A set-associative cache of CacheLines with LRU replacement: the slot
+ * store (mem/set_array.hh) plus statistics and victim choice.
  *
  * By default victim selection is transaction-agnostic LRU, as in real
  * cache hierarchies — which is precisely why co-running applications
@@ -139,7 +127,7 @@ static_assert(sizeof(CacheLine) == 64, "a CacheLine fills one host line");
  * Section III-C). An optional tx-aware mode prefers non-transactional
  * victims (evaluated as an ablation).
  */
-class Cache
+class Cache : private SetArray<CacheLine>
 {
   public:
     struct Stats
@@ -153,42 +141,28 @@ class Cache
     };
 
     /**
-     * @param name for reports.
+     * @param name names the cache in a geometry error.
      * @param size_bytes total capacity.
      * @param ways associativity, 1 to kLruMaxWays.
      * @param tx_aware_replacement prefer non-transactional victims.
      * @throws std::invalid_argument on a bad geometry.
      */
-    Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
+    Cache(const std::string &name, std::uint64_t size_bytes, unsigned ways,
           bool tx_aware_replacement = false);
-    ~Cache();
 
     /** Find the line holding @p line_base, or nullptr. Counts hit/miss. */
     CacheLine *lookup(Addr line_base);
 
-    /** Find without touching statistics or LRU. */
-    CacheLine *peek(Addr line_base);
-    const CacheLine *peek(Addr line_base) const;
-
-    /**
-     * peek(@p line_base), tried first at @p slot: an earlier slotOf()
-     * of the line, which may be stale. A stale hint costs a set search,
-     * never a wrong answer.
-     */
-    CacheLine *
-    atSlot(std::size_t slot, Addr line_base)
-    {
-        if (slot < _tags.size() && _tags[slot] == line_base)
-            return &_lines[slot];
-        return peek(line_base);
-    }
-
-    /** Slot of the resident @p line, valid until it leaves the cache. */
-    std::size_t
-    slotOf(const CacheLine &line) const
-    {
-        return static_cast<std::size_t>(&line - _lines.data());
-    }
+    using SetArray::atSlot;
+    using SetArray::capacityLines;
+    using SetArray::drop;
+    using SetArray::numSets;
+    using SetArray::peek;
+    using SetArray::prefetchSlot;
+    using SetArray::prefetchVictim;
+    using SetArray::slotOf;
+    using SetArray::touch;
+    using SetArray::ways;
 
     /**
      * The line at the LRU end of @p line_base's set, or nullptr while
@@ -198,12 +172,7 @@ class Cache
     const CacheLine *
     lruLineFor(Addr line_base) const
     {
-        const std::uint64_t set = setIndex(line_base);
-        const Addr *tags = &_tags[set * _ways];
-        for (unsigned w = 0; w < _ways; ++w)
-            if (tags[w] == kInvalidTag)
-                return nullptr;
-        return &_lines[set * _ways + lruWayAt(_order[set], _ways - 1)];
+        return freeWay(line_base) ? nullptr : &lru(line_base);
     }
 
     /**
@@ -217,79 +186,28 @@ class Cache
      */
     CacheLine *victimFor(Addr line_base, bool &had_victim);
 
-    /**
-     * Allocation, step 2: destroy the victim (if any), then
-     * construct, tag and touch a fresh line in @p slot.
-     */
-    void install(CacheLine *slot, Addr line_base);
-
-    /** Mark @p line most recently used. */
-    void
-    touch(const CacheLine &line)
-    {
-        const std::uint64_t set = setIndex(line.tag);
-        touchWay(set, static_cast<unsigned>(slotOf(line) - set * _ways));
-    }
-
-    /**
-     * Prefetch into the host cache what allocating @p line_base would
-     * read: the set's tags and the line at the set's LRU end (the
-     * victim unless a way is free or, tx-aware, the LRU line is
-     * transactional). Changes no simulated state.
-     *
-     * Always inlined: GCC counts a prefetch as no side effect, so it
-     * would treat an out-of-line call as pure and delete it.
-     */
-    [[gnu::always_inline]] void
-    prefetchVictim(Addr line_base) const
-    {
-        const std::uint64_t set = setIndex(line_base);
-        const Addr *tags = &_tags[set * _ways];
-        for (unsigned w = 0; w < _ways; w += kLineBytes / sizeof(Addr))
-            __builtin_prefetch(tags + w);
-        __builtin_prefetch(
-            &_lines[set * _ways + lruWayAt(_order[set], _ways - 1)]);
-    }
-
-    /**
-     * Prefetch what atSlot(@p slot, ...) reads when the hint is right:
-     * the slot's tag and line. Ignores an out-of-range @p slot.
-     * Always inlined, as prefetchVictim().
-     */
-    [[gnu::always_inline]] void
-    prefetchSlot(std::size_t slot) const
-    {
-        if (slot < _tags.size()) {
-            __builtin_prefetch(&_tags[slot]);
-            __builtin_prefetch(&_lines[slot]);
-        }
-    }
+    /** Allocation, step 2: SetArray::install. */
+    using SetArray::install;
 
     /** Invalidate @p line_base if present. */
-    void invalidate(Addr line_base);
-
-    /** Remove the resident @p line (a reference this cache handed out). */
-    void drop(CacheLine &line);
+    void
+    invalidate(Addr line_base)
+    {
+        if (CacheLine *line = peek(line_base))
+            drop(*line);
+    }
 
     /**
-     * Invoke @p fn on every valid line (tests, scans). @p fn may mutate
-     * or drop() the visited line, but must not allocate or invalidate
-     * other lines.
-     *
-     * Ordering contract: lines are visited in physical layout order
-     * (set-major, then way) — deterministic for a fixed operation
-     * history, but dependent on placement and replacement decisions.
-     * Callers whose side effects must not depend on cache geometry
-     * (e.g. anything feeding the deterministic bench JSON) use
-     * forEachLineSorted instead.
+     * Invoke @p fn on every valid line (tests, scans), in slot order
+     * (SetArray::forEach). Callers whose side effects must not depend
+     * on cache geometry (e.g. anything feeding the deterministic bench
+     * JSON) use forEachLineSorted instead.
      */
     template <typename Fn>
     void
     forEachLine(Fn &&fn)
     {
-        for (std::size_t i = 0; i < _tags.size(); ++i)
-            if (_tags[i] != kInvalidTag)
-                fn(_lines[i]);
+        forEach(fn);
     }
 
     /**
@@ -304,9 +222,7 @@ class Cache
     forEachLineSorted(Fn &&fn)
     {
         std::vector<CacheLine *> valid;
-        for (std::size_t i = 0; i < _tags.size(); ++i)
-            if (_tags[i] != kInvalidTag)
-                valid.push_back(&_lines[i]);
+        forEach([&valid](CacheLine &cl) { valid.push_back(&cl); });
         std::sort(valid.begin(), valid.end(),
                   [](const CacheLine *a, const CacheLine *b) {
                       return a->tag < b->tag;
@@ -315,47 +231,10 @@ class Cache
             fn(*line);
     }
 
-    unsigned ways() const { return _ways; }
-    std::uint64_t numSets() const { return _numSets; }
-    std::uint64_t capacityLines() const { return _numSets * _ways; }
     const Stats &stats() const { return _stats; }
-    const std::string &name() const { return _name; }
 
   private:
-    /** _tags sentinel; never a line-aligned address. */
-    static constexpr Addr kInvalidTag = ~Addr(0);
-
-    std::uint64_t
-    setIndex(Addr line_base) const
-    {
-        return lineNumber(line_base) & (_numSets - 1);
-    }
-    /** Way of @p set holding @p line_base, or _ways if none. */
-    unsigned wayOf(std::uint64_t set, Addr line_base) const;
-    void
-    touchWay(std::uint64_t set, unsigned way)
-    {
-        // Repeated hits to one line find it at rank 0 already; skip
-        // the store then.
-        const std::uint64_t order = _order[set];
-        if (lruWayAt(order, 0) != way)
-            _order[set] = lruTouch(order, way);
-    }
-
-    std::string _name;
-    unsigned _ways;
     bool _txAware;
-    std::uint64_t _numSets;
-    /** Line slots; slot i holds a live CacheLine iff _tags[i] is valid. */
-    ReuseArray<CacheLine> _lines;
-    /**
-     * Tag of each slot, kInvalidTag when free: the validity record, and
-     * what peek() scans, so a set probe touches a few contiguous words
-     * instead of whole CacheLines.
-     */
-    ReuseArray<Addr> _tags;
-    /** Recency order of each set, one word per set (mem/lru_order.hh). */
-    ReuseArray<std::uint64_t> _order;
     Stats _stats;
 };
 

@@ -21,11 +21,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <type_traits>
 
-#include "mem/lru_order.hh"
-#include "sim/reuse_alloc.hh"
+#include "mem/set_array.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -51,16 +48,10 @@ struct DramCacheEntry
         return dirty && tx == kNoTx && !invalidated;
     }
 };
-static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
 
 /**
- * Set-associative DRAM cache over NVM lines.
- *
- * As in Cache, the tag array is the only record of which slots hold an
- * entry: entry storage is raw and recycled (sim/reuse_alloc.hh), an
- * entry is constructed by install() and destroyed when it is evicted,
- * so building the cache writes only its tags and its per-set recency
- * words (mem/lru_order.hh).
+ * Set-associative DRAM cache over NVM lines: the slot store
+ * (mem/set_array.hh) plus statistics and victim choice.
  *
  * The cache is passive: it chooses victims and keeps entries, and
  * writes nothing to NVM. Its owner inserts in two steps, like Cache:
@@ -68,7 +59,7 @@ static_assert(std::is_trivially_destructible_v<DramCacheEntry>);
  * owner writes back or drops that entry in place, then install() hands
  * the slot to the new line.
  */
-class DramCache
+class DramCache : private SetArray<DramCacheEntry>
 {
   public:
     struct Stats
@@ -115,15 +106,14 @@ class DramCache
         bool evicts() const { return victim <= Victim::Clean; }
     };
 
-    /** @throws std::invalid_argument on a bad geometry (ways outside
-     *          [1, kLruMaxWays], or less than one set). */
+    /** @throws std::invalid_argument on a bad geometry (setsFor). */
     DramCache(std::uint64_t size_bytes, unsigned ways);
 
     /** Find a live entry (valid and not invalidated). Counts hit/miss. */
     DramCacheEntry *lookup(Addr line_base);
 
     /** Find without statistics, including invalidated entries. */
-    DramCacheEntry *peek(Addr line_base);
+    using SetArray::peek;
 
     /**
      * Insertion, step 1: the slot that (re)inserting @p line_base for
@@ -165,38 +155,11 @@ class DramCache
         ++_stats.writeBacks;
     }
 
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (std::size_t i = 0; i < _tags.size(); ++i)
-            if (_tags[i] != kInvalidTag)
-                fn(_entries[i]);
-    }
-
+    using SetArray::capacityLines;
+    using SetArray::forEach;
     const Stats &stats() const { return _stats; }
-    std::uint64_t capacityLines() const { return _numSets * _ways; }
 
   private:
-    /** _tags sentinel; never a line-aligned address. */
-    static constexpr Addr kInvalidTag = ~Addr(0);
-
-    std::uint64_t setIndex(Addr line_base) const;
-    /** Mark the live entry @p e most recently used. */
-    void touch(const DramCacheEntry &e);
-
-    unsigned _ways;
-    std::uint64_t _numSets;
-    /** Entry slots; slot i holds a live entry iff _tags[i] is valid.
-     *  Entries are trivially destructible, so ~DramCache destroys none. */
-    ReuseArray<DramCacheEntry> _entries;
-    /** Tag of each slot, kInvalidTag when free: the validity record,
-     *  and what a set probe scans, a few contiguous words instead of
-     *  96-byte entries (matters at 64 MiB capacity where probed sets
-     *  are cold in the host cache). */
-    ReuseArray<Addr> _tags;
-    /** Recency order of each set, one word per set. */
-    ReuseArray<std::uint64_t> _order;
     Stats _stats;
 };
 

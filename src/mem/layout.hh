@@ -12,10 +12,7 @@
 #define UHTM_MEM_LAYOUT_HH
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
-#include "mem/lru_order.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -81,33 +78,6 @@ struct MemLayout
                (a >= kNvmLogBase && a < kNvmLogBase + kLogSize);
     }
 };
-
-/**
- * Number of sets of a @p ways-way cache of @p size_bytes, rounded down
- * to a power of two. Shared by the on-chip caches and the DRAM cache.
- * @throws std::invalid_argument naming @p cache when @p ways is outside
- *         [1, kLruMaxWays] or @p size_bytes holds less than one set.
- */
-inline std::uint64_t
-setsFor(const std::string &cache, std::uint64_t size_bytes, unsigned ways)
-{
-    if (ways < 1 || ways > kLruMaxWays) {
-        throw std::invalid_argument(
-            cache + ": ways must be in [1, " + std::to_string(kLruMaxWays) +
-            "], got " + std::to_string(ways));
-    }
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    if (lines < ways) {
-        throw std::invalid_argument(
-            cache + ": " + std::to_string(size_bytes) +
-            " bytes hold fewer than one set of " + std::to_string(ways) +
-            " " + std::to_string(kLineBytes) + "-byte lines");
-    }
-    std::uint64_t sets = 1;
-    while ((sets << 1) <= lines / ways)
-        sets <<= 1;
-    return sets;
-}
 
 static_assert(MemLayout::kNvmBase >
                   MemLayout::kDramLogBase + MemLayout::kLogSize,

@@ -14,11 +14,12 @@
  *
  * ReuseArray<T> is the one owner of such blocks: a fixed-size array of
  * raw, uninitialized T. It never constructs or destroys an element on
- * its own; its owner (Cache, DramCache) constructs a slot when a line
- * is installed and destroys it when the line leaves, and keeps its own
- * record of which slots are alive (the caches' tag arrays). So building
- * a machine writes only its tag arrays, not the 112 MiB of line and
- * entry storage behind them.
+ * its own; its one owner, the caches' slot store SetArray
+ * (mem/set_array.hh), constructs a slot when a line is installed and
+ * destroys it when the line leaves, and keeps its own record of which
+ * slots are alive (its tag array). So building a machine writes only
+ * its tag arrays, not the 112 MiB of line and entry storage behind
+ * them.
  *
  * Every block is kReuseAlign (64-byte) aligned, one host cache line,
  * so a CacheLine fills exactly one host line and a 16-way set of tags
@@ -69,9 +70,9 @@ inline constexpr std::size_t kReuseAlign = 64;
 inline constexpr std::size_t kReuseMinBytes = std::size_t{1} << 20;
 
 /**
- * Blocks a thread parks: Cache::_lines/_tags of the LLC and
- * DramCache::_entries/_tags, the only arrays of a default machine that
- * reach kReuseMinBytes.
+ * Blocks a thread parks: the slots and tags of the LLC's and the DRAM
+ * cache's SetArray, the only arrays of a default machine that reach
+ * kReuseMinBytes.
  */
 inline constexpr std::size_t kReuseSlots = 4;
 

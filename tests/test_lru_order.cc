@@ -18,6 +18,7 @@
 
 #include "mem/cache.hh"
 #include "mem/dram_cache.hh"
+#include "mem/layout.hh"
 #include "mem/lru_order.hh"
 
 namespace uhtm
