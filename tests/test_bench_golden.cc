@@ -3,7 +3,9 @@
  * Golden-JSON determinism gate: every figure's --tiny sweep, serialized
  * exactly the way `uhtm_bench` does it (same seed, same sweep-config
  * echo), must be byte-identical to the goldens committed under
- * bench/golden/tiny/. This pins two properties at once:
+ * bench/golden/tiny/: the results (BENCH_<figure>.json) and the
+ * per-job metrics registries (METRICS_<figure>.json). This pins two
+ * properties at once:
  *
  *   - determinism: results do not depend on worker count, container
  *     iteration order, hash seeds or allocator state;
@@ -18,7 +20,7 @@
  * If a change is *intended* to alter results, regenerate the goldens
  * (and the bench/baseline/ files) with:
  *   ./build/tools/uhtm_bench all --tiny --jobs=4 --seed=42 \
- *       --out=bench/golden/tiny
+ *       --metrics --out=bench/golden/tiny
  * and the rendered tables (dropping the trailing "[figure] N jobs"
  * summary) with:
  *   for f in $(./build/tools/uhtm_bench --list | cut -d' ' -f1); do
@@ -121,7 +123,7 @@ TEST_P(GoldenFigure, TinyJsonMatchesCommittedGolden)
     ASSERT_TRUE(readFile(goldenPath(sink.fileName()), &golden))
         << "missing golden " << goldenPath(sink.fileName())
         << " — regenerate with: ./build/tools/uhtm_bench all --tiny "
-           "--jobs=4 --seed=42 --out=bench/golden/tiny";
+           "--jobs=4 --seed=42 --metrics --out=bench/golden/tiny";
 
     ASSERT_EQ(json.size(), golden.size())
         << "golden size mismatch for " << fig->name;
@@ -129,6 +131,15 @@ TEST_P(GoldenFigure, TinyJsonMatchesCommittedGolden)
         << "byte-level mismatch against " << goldenPath(sink.fileName())
         << " — simulated results changed; if intended, regenerate the "
            "goldens and bench/baseline/";
+
+    std::string goldenMetrics;
+    ASSERT_TRUE(readFile(goldenPath(sink.metricsFileName()), &goldenMetrics))
+        << "missing golden " << goldenPath(sink.metricsFileName())
+        << " — see this file's header for the regeneration command";
+    EXPECT_TRUE(sink.metricsJson(results) == goldenMetrics)
+        << "byte-level mismatch against "
+        << goldenPath(sink.metricsFileName())
+        << " — a counter changed; if intended, regenerate the goldens";
 
     const std::string tableFile = "TABLE_" + fig->name + ".txt";
     std::string goldenTable;
