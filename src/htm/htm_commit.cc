@@ -130,7 +130,15 @@ HtmSystem::issueCommit(CoreId core)
     }
 
     if (!nvm_lines.empty()) {
-        _redoLog.commit(tx->id, commit_durable_at);
+        // The write set's NVM records become the committed log, in the
+        // address order recovery searches them by.
+        std::vector<RedoEntry> records;
+        records.reserve(nvm_lines.size());
+        for (Addr line : nvm_lines) {
+            const LineWrite &w = tx->writeSet.at(line);
+            records.push_back(RedoEntry{line, w.image, w.durableAt});
+        }
+        _redoLog.commit(commit_durable_at, std::move(records));
         notifyPersist(PersistPoint::CommitMark, 0, commit_durable_at,
                       nullptr);
         for (Addr line : nvm_lines) {
@@ -240,17 +248,20 @@ HtmSystem::issueAbort(CoreId core)
         t = end;
     }
 
-    // NVM: mark the abort flag; log deletion is deferred to the
-    // background reclaimer. Invalidate uncommitted DRAM-cache entries
+    // NVM: mark the abort flag and drop the redo records, one per NVM
+    // line of the write set (the paper's background log deletion,
+    // modelled as immediate). Invalidate uncommitted DRAM-cache entries
     // found through the overflow list.
-    if (_redoLog.entryCount(tx->id) > 0) {
+    std::uint64_t redo_records = 0;
+    for (const auto &[line, w] : tx->writeSet)
+        redo_records += MemLayout::kindOf(line) == MemKind::Nvm;
+    if (redo_records > 0) {
         t = _nvmCtrl.access(t, true, true);
         notifyPersist(PersistPoint::AbortMark, 0, t, nullptr);
         for (Addr line : tx->overflowList)
             if (MemLayout::kindOf(line) == MemKind::Nvm)
                 _dramCache.invalidateEntry(line, tx->id);
-        _redoLog.abort(tx->id);
-        _redoLog.reclaimAborted();
+        _redoLog.abort(redo_records);
     }
 
     if (_faultInjector) {

@@ -21,10 +21,8 @@ namespace uhtm
 HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
     : _eq(eq), _mcfg(mcfg), _policy(policy),
       _llc("LLC", mcfg.llcBytes, mcfg.llcWays, mcfg.txAwareReplacement),
-      _dramCtrl("DRAM", mcfg.dramReadLatency, mcfg.dramWriteLatency,
-                mcfg.dramSlot),
-      _nvmCtrl("NVM", mcfg.nvmReadLatency, mcfg.nvmWriteLatency,
-               mcfg.nvmSlot),
+      _dramCtrl(mcfg.dramReadLatency, mcfg.dramWriteLatency, mcfg.dramSlot),
+      _nvmCtrl(mcfg.nvmReadLatency, mcfg.nvmWriteLatency, mcfg.nvmSlot),
       _dramCache(mcfg.dramCacheBytes, mcfg.dramCacheWays),
       _undoLog(mcfg.logAreaBytes), _redoLog(mcfg.logAreaBytes)
 {
@@ -314,7 +312,7 @@ HtmSystem::suspendTx(CoreId core)
                 s->dirty = true;
         }
         if (cl.txWriter == tx->id)
-            tx->noteOverflowListEntry(line);
+            tx->overflowList.insert(line);
         l1.drop(cl);
     });
     _coreTx[core] = nullptr;
@@ -442,14 +440,6 @@ HtmSystem::lineImage(const TxDesc *tx, Addr line,
 }
 
 void
-HtmSystem::scheduleDurableInPlaceWrite(Addr line, Tick at)
-{
-    std::array<std::uint8_t, kLineBytes> bytes;
-    _store.readLine(line, bytes.data());
-    enqueueDurableWrite(line, at, bytes);
-}
-
-void
 HtmSystem::publishLine(Addr line, const DurableNvmView::Line &old,
                        const DurableNvmView::Line &now)
 {
@@ -469,7 +459,11 @@ HtmSystem::writebackToMemory(Addr line, Tick t)
         _dramCtrl.access(t, true);
     } else {
         const Tick done = _nvmCtrl.access(t, true);
-        scheduleDurableInPlaceWrite(line, done);
+        // The in-place write carries the line's architectural bytes
+        // into the durable image when it completes.
+        std::array<std::uint8_t, kLineBytes> bytes;
+        _store.readLine(line, bytes.data());
+        enqueueDurableWrite(line, done, bytes);
     }
 }
 

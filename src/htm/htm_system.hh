@@ -506,10 +506,6 @@ class HtmSystem
     void lineImage(const TxDesc *tx, Addr line,
                    std::array<std::uint8_t, kLineBytes> &out) const;
 
-    /** Copy @p line's architectural bytes into the durable NVM image
-     *  when the in-place write completes at @p at. */
-    void scheduleDurableInPlaceWrite(Addr line, Tick at);
-
     /**
      * Overwrite @p line of the architectural store, whose bytes are
      * @p old, with @p now. The one store write of the access and commit

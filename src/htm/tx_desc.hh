@@ -8,7 +8,8 @@
  * descriptor additionally holds the simulator-side state: precise
  * read/write sets (ground truth for false-positive classification and
  * the Ideal system; each write-set record also holds the line's
- * speculative image, the write buffer of functional isolation),
+ * speculative image, the write buffer of functional isolation, and for
+ * an NVM line is the transaction's redo record of it),
  * address signatures, the overflow list, and statistics.
  */
 
@@ -47,6 +48,10 @@ struct LineWrite
      *  the line changed under us without a conflict abort, the
      *  isolation protocol has a hole). */
     std::array<std::uint8_t, kLineBytes> preImage{};
+    /** NVM line: when its redo record is durable. A write coalesced
+     *  into the record is durable only once every earlier write is,
+     *  so this is the latest completion over the line's log writes. */
+    Tick durableAt = 0;
 };
 
 /** Per-transaction runtime state. */
@@ -85,9 +90,10 @@ struct TxDesc
     LineSet readSet;
 
     /**
-     * Precise write set and speculative write buffer in one: one record
-     * per written line, created by the line's first transactional store
-     * (copy-on-first-write), insertion-ordered. Flat line-keyed map
+     * Precise write set, speculative write buffer and (NVM lines) redo
+     * records in one: one record per written line, created by the
+     * line's first transactional store (copy-on-first-write),
+     * insertion-ordered. Flat line-keyed map
      * (sim/line_map.hh): allocation-free inserts and cache-friendly
      * probes on the per-access functional path.
      */
@@ -144,13 +150,6 @@ struct TxDesc
             if (!writeSet.count(a))
                 ++lines;
         return lines * kLineBytes;
-    }
-
-    /** Record a line in the overflow list exactly once. */
-    void
-    noteOverflowListEntry(Addr line)
-    {
-        overflowList.insert(line);
     }
 };
 

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -40,14 +39,12 @@ class MemCtrl
     };
 
     /**
-     * @param name channel name for reports.
      * @param read_lat access latency of a read in ticks.
      * @param write_lat access latency of a write in ticks.
      * @param slot per-request service time (occupancy) in ticks.
      */
-    MemCtrl(std::string name, Tick read_lat, Tick write_lat, Tick slot)
-        : _name(std::move(name)), _readLat(read_lat), _writeLat(write_lat),
-          _slot(slot)
+    MemCtrl(Tick read_lat, Tick write_lat, Tick slot)
+        : _readLat(read_lat), _writeLat(write_lat), _slot(slot)
     {
     }
 
@@ -77,10 +74,8 @@ class MemCtrl
     }
 
     const Stats &stats() const { return _stats; }
-    const std::string &name() const { return _name; }
 
   private:
-    std::string _name;
     Tick _readLat;
     Tick _writeLat;
     Tick _slot;

@@ -131,7 +131,9 @@ TEST(Protocol, VolatileCommitSkipsNvmWork)
     f.eq.run();
     EXPECT_EQ(f.sys.nvmCtrl().stats().writes, nvm_writes_before)
         << "a DRAM-only transaction must not touch the NVM channel";
-    EXPECT_EQ(f.sys.redoLog().entryCount(1), 0u);
+    EXPECT_EQ(f.sys.redoLog().stats().appends, 0u);
+    EXPECT_EQ(f.sys.redoLog().stats().commits, 0u);
+    EXPECT_EQ(f.sys.redoLog().bytesUsed(), 0u);
 }
 
 TEST(Protocol, CommitPublishesNvmWriteSetToDramCache)

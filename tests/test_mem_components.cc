@@ -85,7 +85,7 @@ TEST(BackingStore, CopyFromSnapshotsDeeply)
 
 TEST(MemCtrl, LatencyAndOccupancy)
 {
-    MemCtrl ctrl("t", ticksFromNs(82), ticksFromNs(82), ticksFromNs(4));
+    MemCtrl ctrl(ticksFromNs(82), ticksFromNs(82), ticksFromNs(4));
     const Tick t1 = ctrl.access(0, false);
     EXPECT_EQ(t1, ticksFromNs(82));
     // Second request issued at the same instant waits for the slot.
@@ -99,10 +99,8 @@ TEST(MemCtrl, ReadWriteLatenciesDiffer)
 {
     // NVM: read 175ns, write 94ns (ADR queue accept). Each request goes
     // to an idle controller, so neither waits for the other's slot.
-    MemCtrl reader("nvm", ticksFromNs(175), ticksFromNs(94),
-                   ticksFromNs(8));
-    MemCtrl writer("nvm", ticksFromNs(175), ticksFromNs(94),
-                   ticksFromNs(8));
+    MemCtrl reader(ticksFromNs(175), ticksFromNs(94), ticksFromNs(8));
+    MemCtrl writer(ticksFromNs(175), ticksFromNs(94), ticksFromNs(8));
     EXPECT_EQ(reader.access(0, false), ticksFromNs(175));
     EXPECT_EQ(writer.access(0, true), ticksFromNs(94));
     EXPECT_EQ(writer.stats().writes, 1u);
@@ -110,7 +108,7 @@ TEST(MemCtrl, ReadWriteLatenciesDiffer)
 
 TEST(MemCtrl, LogTrafficCountedSeparately)
 {
-    MemCtrl ctrl("t", 10, 10, 1);
+    MemCtrl ctrl(10, 10, 1);
     ctrl.access(0, true, true);
     ctrl.access(0, true, false);
     EXPECT_EQ(ctrl.stats().writes, 2u);
