@@ -128,7 +128,8 @@ class FaultInjector
     struct AbortedTx
     {
         TxId tx = kNoTx;
-        /** Undo records handed back by the restore (DRAM rollback). */
+        /** The transaction's undo records, in copy-back order (DRAM
+         *  rollback). */
         std::vector<UndoEntry> undoEntries;
         std::vector<AbortedLine> lines;
     };

@@ -268,7 +268,6 @@ ResultSink::timingJson(const std::vector<JobResult> &results,
         w.field("durable_lag_bytes", mem.durableLagBytes);
         w.field("redo_records", mem.redo.records);
         w.field("redo_record_bytes", mem.redo.recordBytes);
-        w.field("redo_reserved_bytes", mem.redo.reservedBytes);
         w.endObject();
         w.endObject();
     }

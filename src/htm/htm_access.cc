@@ -272,22 +272,25 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
 
         if (MemLayout::kindOf(line) == MemKind::Dram) {
             if (_policy.dramLog == DramOverflowLog::Undo) {
-                if (_undoLog.full()) {
-                    // Trap the OS to expand the log area (paper IV-E).
-                    _undoLog.expand(_mcfg.logAreaBytes / 4);
-                    ++_stats.logExpansions;
-                }
-                // Eager: old value to the undo log (read in-place +
-                // log write, both off the critical path), new value
-                // written in place.
-                std::array<std::uint8_t, kLineBytes> old;
-                _store.readLine(line, old.data());
-                if (_undoLog.append(writer->id, line, old)) {
+                // Eager: the line's first LLC eviction logs its old
+                // value (read in-place + log write, both off the
+                // critical path); the new value is written in place.
+                // The line's write-set record says whether it already
+                // has its undo record: the first logged image is the
+                // pre-transaction value that abort must restore. (The
+                // record exists: txWriter is set only by accesses
+                // that reach the functional half; at() asserts it.)
+                LineWrite &w = writer->writeSet.at(line);
+                if (w.durableAt == 0) {
+                    if (_undoLog.reserve())
+                        ++_stats.logExpansions;
+                    UndoEntry &e =
+                        writer->undoRecords.emplace_back(UndoEntry{line});
+                    _store.readLine(line, e.oldData.data());
                     notifyPersist(PersistPoint::UndoLogAppend, line, 0,
-                                  old.data());
-                    ++writer->undoRecords;
+                                  e.oldData.data());
                     const Tick r = _dramCtrl.access(t, false);
-                    _dramCtrl.access(r, true, true);
+                    w.durableAt = _dramCtrl.access(r, true, true);
                     UHTM_OBS_EVENT(_obs, t,
                                    obs::EventKind::UndoLogAppend,
                                    obs::kEvNoCore, writer->id, line);
@@ -510,11 +513,6 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
             LineWrite &w = it->second;
             storeInto(w.image, word - line, whole_line, wdata);
             if (MemLayout::kindOf(line) == MemKind::Nvm) {
-                if (_redoLog.full()) {
-                    // Trap the OS to expand the log area (paper IV-E).
-                    _redoLog.expand(_mcfg.logAreaBytes / 4);
-                    ++_stats.logExpansions;
-                }
                 // [28]-style hardware redo logging at store time: the
                 // async log write consumes NVM bandwidth; commit waits
                 // for the durability horizon.
@@ -532,7 +530,10 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 // it is a persistence-ordering point like a fresh
                 // append.
                 w.durableAt = std::max(w.durableAt, dur);
-                _redoLog.noteStore(!fresh);
+                if (!fresh)
+                    _redoLog.noteCoalesced();
+                else if (_redoLog.reserve())
+                    ++_stats.logExpansions;
                 notifyPersist(PersistPoint::RedoLogAppend, line,
                               w.durableAt, w.image.data());
                 if (w.durableAt > tx->logsDurableAt)

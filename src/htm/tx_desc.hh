@@ -9,8 +9,8 @@
  * read/write sets (ground truth for false-positive classification and
  * the Ideal system; each write-set record also holds the line's
  * speculative image, the write buffer of functional isolation, and for
- * an NVM line is the transaction's redo record of it),
- * address signatures, the overflow list, and statistics.
+ * an NVM line is the transaction's redo record of it), its undo
+ * records, address signatures, the overflow list, and statistics.
  */
 
 #ifndef UHTM_HTM_TX_DESC_HH
@@ -23,6 +23,7 @@
 
 #include "htm/config.hh"
 #include "htm/signature.hh"
+#include "mem/undo_log.hh"
 #include "sim/arena.hh"
 #include "sim/line_map.hh"
 #include "sim/types.hh"
@@ -48,9 +49,12 @@ struct LineWrite
      *  the line changed under us without a conflict abort, the
      *  isolation protocol has a hole). */
     std::array<std::uint8_t, kLineBytes> preImage{};
-    /** NVM line: when its redo record is durable. A write coalesced
-     *  into the record is durable only once every earlier write is,
-     *  so this is the latest completion over the line's log writes. */
+    /** When the line's log record is durable; 0 while the line has no
+     *  record. NVM line: its redo record, created by the first store;
+     *  a write coalesced into the record is durable only once every
+     *  earlier write is, so this is the latest completion over the
+     *  line's log writes. DRAM line: its undo record, created by the
+     *  line's first LLC eviction. */
     Tick durableAt = 0;
 };
 
@@ -118,8 +122,10 @@ struct TxDesc
     /** Durability horizon of this transaction's NVM redo records. */
     Tick logsDurableAt = 0;
 
-    /** Number of undo-log records (overflowed DRAM lines, undo mode). */
-    std::uint64_t undoRecords = 0;
+    /** Undo records of overflowed DRAM lines (undo mode), in append
+     *  (LLC-eviction) order, which is also the abort's copy-back
+     *  order. The DRAM log area accounts their bytes. */
+    std::vector<UndoEntry> undoRecords;
 
     /** Per-attempt access counters. */
     std::uint64_t reads = 0;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "mem/backing_store.hh"
+#include "mem/log_area.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -44,47 +45,29 @@ struct RedoEntry
     Tick durableAt = 0;
 };
 
-/** The reserved NVM log area. */
-class RedoLogArea
+struct RedoLogStats : LogAreaStats
+{
+    std::uint64_t coalesced = 0;
+    std::uint64_t commits = 0;
+    std::uint64_t aborts = 0;
+    std::uint64_t replayedEntries = 0;
+    /** Records of committed-durable transactions whose own log write
+     *  had not completed at the crash (torn records). A correct commit
+     *  protocol never produces these. */
+    std::uint64_t tornEntries = 0;
+};
+
+/** The reserved NVM log area: its committed logs. */
+class RedoLogArea : public LogArea<RedoLogStats>
 {
   public:
-    struct Stats
-    {
-        std::uint64_t appends = 0;
-        std::uint64_t coalesced = 0;
-        std::uint64_t commits = 0;
-        std::uint64_t aborts = 0;
-        std::uint64_t reclaimed = 0;
-        std::uint64_t peakBytes = 0;
-        std::uint64_t replayedEntries = 0;
-        /** Records of committed-durable transactions whose own log
-         *  write had not completed at the crash (torn records). A
-         *  correct commit protocol never produces these. */
-        std::uint64_t tornEntries = 0;
-    };
+    using Stats = RedoLogStats;
+    using LogArea::LogArea;
 
-    explicit RedoLogArea(std::uint64_t capacity_bytes)
-        : _capacity(capacity_bytes)
-    {
-    }
-
-    /**
-     * Account one transactional NVM store. A fresh record takes a
-     * record's worth of the log area; a write @p coalesced into the
-     * line's existing record (write-combining in the log buffer)
-     * rewrites that record in place.
-     */
-    void
-    noteStore(bool coalesced)
-    {
-        if (coalesced) {
-            ++_stats.coalesced;
-            return;
-        }
-        ++_stats.appends;
-        _bytes += kEntryBytes;
-        _stats.peakBytes = std::max(_stats.peakBytes, _bytes);
-    }
+    /** A transactional NVM store rewrote the line's existing record in
+     *  place (write-combining in the log buffer); a fresh record takes
+     *  a reserve() instead. */
+    void noteCoalesced() { ++_stats.coalesced; }
 
     /**
      * Append a committed log: @p records, one per NVM line the
@@ -115,8 +98,7 @@ class RedoLogArea
     abort(std::uint64_t records)
     {
         ++_stats.aborts;
-        _stats.reclaimed += records;
-        _bytes -= records * kEntryBytes;
+        reclaim(records);
     }
 
     /**
@@ -191,37 +173,21 @@ class RedoLogArea
      *  ledger. */
     struct Footprint
     {
-        std::uint64_t records = 0;       ///< records held
-        std::uint64_t recordBytes = 0;   ///< bytes those records use
-        std::uint64_t reservedBytes = 0; ///< entry capacity
+        std::uint64_t records = 0;     ///< records held
+        std::uint64_t recordBytes = 0; ///< bytes those records use
     };
 
     Footprint
     footprint() const
     {
         Footprint f;
-        for (const CommittedLog &log : _committed) {
+        for (const CommittedLog &log : _committed)
             f.records += log.records.size();
-            f.reservedBytes += log.records.capacity() * sizeof(RedoEntry);
-        }
         f.recordBytes = f.records * sizeof(RedoEntry);
         return f;
     }
 
-    std::uint64_t bytesUsed() const { return _bytes; }
-    bool full() const { return _bytes + kEntryBytes > _capacity; }
-
-    /** Grow the reserved area (OS trap, paper Section IV-E). */
-    void expand(std::uint64_t extra_bytes) { _capacity += extra_bytes; }
-
-    /** Reserved capacity in bytes. */
-    std::uint64_t capacity() const { return _capacity; }
-
-    const Stats &stats() const { return _stats; }
-
   private:
-    static constexpr std::uint64_t kEntryBytes = kLineBytes + 16;
-
     /** One committed transaction's records, in an exact-size
      *  allocation, sorted by line. */
     struct CommittedLog
@@ -230,11 +196,8 @@ class RedoLogArea
         std::vector<RedoEntry> records;
     };
 
-    std::uint64_t _capacity;
-    std::uint64_t _bytes = 0;
     /** Committed logs in commit order. */
     std::vector<CommittedLog> _committed;
-    Stats _stats;
 };
 
 } // namespace uhtm

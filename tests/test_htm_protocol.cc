@@ -167,16 +167,16 @@ TEST(Protocol, AbortCostScalesWithUndoRecords)
     for (std::uint64_t i = 0; i < lines; ++i)
         f.access(0, kDram + i * kLineBytes, true, 7);
     TxDesc *tx = f.sys.currentTx(0);
-    ASSERT_GT(tx->undoRecords, 10u);
-    const std::uint64_t records = tx->undoRecords;
-    const TxId id = tx->id; // the descriptor is freed by the abort
+    const std::uint64_t records = tx->undoRecords.size();
+    ASSERT_GT(records, 10u);
     f.sys.requestAbortForTest(tx);
     const Tick t0 = f.eq.now();
     const Tick done = f.sys.issueAbort(0);
     // Restore reads + writes per record through the DRAM controller.
     EXPECT_GT(done - t0, records * f.sys.machine().dramSlot)
         << "abort must pay for the undo restore";
-    EXPECT_EQ(f.sys.undoLog().entryCount(id), 0u);
+    EXPECT_EQ(f.sys.undoLog().stats().restores, records);
+    EXPECT_EQ(f.sys.undoLog().bytesUsed(), 0u);
 }
 
 TEST(Protocol, StaleDirectoryMarksArePrunedNotTrusted)
