@@ -17,8 +17,8 @@ CrashOracle::ledgerFor(Addr line)
     if (it == _lines.end()) {
         // First sighting: the durable image still holds the pre-run /
         // pre-write value (HtmSystem::enqueueDurableWrite notifies the
-        // InPlaceNvmWrite point before queueing the write), which
-        // becomes the baseline.
+        // InPlaceNvmWrite point before MemoryImage::queue takes the
+        // write), which becomes the baseline.
         it = _lines.emplace(line, LineLedger{}).first;
         _sys.durableNvm().readLine(line, it->second.baseline.data());
     }
@@ -186,39 +186,45 @@ CrashOracle::checkCrashAt(Tick crash_tick, bool full_image,
     ++_checksRun;
     const std::size_t before = _violations.size();
 
+    // Recovery of @p line produced @p got; @p what names the path.
+    auto expect = [&](Addr line, const LineLedger &led,
+                      const LineBytes &got, const char *what) {
+        bool from_committed = false;
+        const LineBytes *want =
+            expectedAt(led, crash_tick, &from_committed);
+        if (std::memcmp(got.data(), want->data(), kLineBytes) != 0) {
+            addViolation(point_index, crash_tick, line,
+                         from_committed ? "durability" : "atomicity",
+                         what + hexPrefix(got) + " expected " +
+                             hexPrefix(*want));
+        }
+    };
     for (const auto &[line, led] : _lines) {
         LineBytes rec;
         _sys.redoLog().recoverLine(_sys.durableNvm(), line, crash_tick,
                                    rec);
-        bool from_committed = false;
-        const LineBytes *want =
-            expectedAt(led, crash_tick, &from_committed);
-        if (std::memcmp(rec.data(), want->data(), kLineBytes) != 0) {
-            addViolation(point_index, crash_tick, line,
-                         from_committed ? "durability" : "atomicity",
-                         "recovered " + hexPrefix(rec) + " expected " +
-                             hexPrefix(*want));
-        }
+        expect(line, led, rec, "recovered ");
     }
-
     if (full_image) {
         BackingStore img = _sys.recoverAfterCrash();
         for (const auto &[line, led] : _lines) {
             LineBytes got;
             img.readLine(line, got.data());
-            bool from_committed = false;
-            const LineBytes *want =
-                expectedAt(led, crash_tick, &from_committed);
-            if (std::memcmp(got.data(), want->data(), kLineBytes) != 0) {
-                addViolation(point_index, crash_tick, line,
-                             from_committed ? "durability" : "atomicity",
-                             "full-image recovered " + hexPrefix(got) +
-                                 " expected " + hexPrefix(*want));
-            }
+            expect(line, led, got, "full-image recovered ");
         }
     }
 
     return _violations.size() - before;
+}
+
+std::size_t
+CrashOracle::checkDrained()
+{
+    const MemoryImage::Lag &lag = _sys.durableNvm().lag();
+    for (const auto &[line, bytes] : lag)
+        addViolation(kNoPoint, _sys.eventQueue().now(), line, "drain",
+                     "in-place NVM differs from the store when drained");
+    return lag.size();
 }
 
 } // namespace uhtm

@@ -20,7 +20,10 @@
  *   rollback — an aborted transaction's undo records must hold the
  *       pre-transaction images, its speculative bytes must not reach
  *       the architectural store, and its DRAM-cache entries must be
- *       invalidated.
+ *       invalidated;
+ *   drain — once the machine has quiesced and written every dirty
+ *       DRAM-cache line back, the in-place durable image equals the
+ *       architectural store on every NVM line, without redo replay.
  *
  * Checks run against RedoLogArea::recoverLine (per line, cheap enough
  * for every crash point) and periodically against the full
@@ -58,7 +61,7 @@ class CrashOracle
         std::uint64_t pointIndex = kNoPoint;
         Tick crashTick = 0;
         Addr line = 0;
-        /** "durability", "atomicity", "leak" or "rollback". */
+        /** "durability", "atomicity", "leak", "rollback" or "drain". */
         const char *kind = "";
         std::string detail;
     };
@@ -81,6 +84,11 @@ class CrashOracle
      */
     std::size_t checkCrashAt(Tick crash_tick, bool full_image,
                              std::uint64_t point_index = kNoPoint);
+
+    /** The drain rule, on a drained machine after flushDramCache():
+     *  one "drain" violation per NVM line whose durable bytes differ
+     *  from the store's. Not counted in checksRun(); @return them. */
+    std::size_t checkDrained();
 
     const std::vector<Violation> &violations() const
     {

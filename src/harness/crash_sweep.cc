@@ -1,6 +1,6 @@
 #include "harness/crash_sweep.hh"
 
-#include <algorithm>
+#include <cassert>
 #include <memory>
 #include <set>
 
@@ -13,14 +13,21 @@ namespace uhtm
 namespace
 {
 
-std::vector<std::uint64_t>
-countsByKind(const FaultInjector &fi)
+/** What @p fi recorded and @p oracle found. */
+CrashSweepResult
+resultOf(const FaultInjector &fi, const CrashOracle &oracle)
 {
-    std::vector<std::uint64_t> counts(
-        static_cast<std::size_t>(PersistPoint::UndoCopyBack) + 1, 0);
+    CrashSweepResult res;
+    res.points = fi.pointCount();
+    res.checks = oracle.checksRun();
+    res.linesTracked = oracle.linesTracked();
+    res.pointsByKind.resize(
+        static_cast<std::size_t>(PersistPoint::UndoCopyBack) + 1);
     for (const auto &e : fi.events())
-        ++counts[static_cast<std::size_t>(e.point)];
-    return counts;
+        ++res.pointsByKind[static_cast<std::size_t>(e.point)];
+    res.crashTick = fi.crashTick();
+    res.violations = oracle.violations();
+    return res;
 }
 
 } // namespace
@@ -38,10 +45,9 @@ CrashSweepRunner::sweep()
 
     EventQueue &eq = r.eventQueue();
     CrashOracle *op = &oracle;
-    const std::uint64_t stride =
-        std::max<std::uint64_t>(1, _cfg.fullImageStride);
-    fi.setOnPoint([&eq, op, stride](const PersistEvent &ev,
-                                    const std::uint8_t *) {
+    assert(_cfg.fullImageStride >= 1 && "fullImageStride must be >= 1");
+    fi.setOnPoint([&eq, op, stride = _cfg.fullImageStride](
+                      const PersistEvent &ev, const std::uint8_t *) {
         const bool full = ev.index % stride == 0;
         eq.scheduleAt(ev.completeAt, [&eq, op, index = ev.index, full] {
             op->checkCrashAt(eq.now(), full, index);
@@ -55,15 +61,15 @@ CrashSweepRunner::sweep()
     // exactly the committed state.
     oracle.checkCrashAt(eq.now(), true, CrashOracle::kNoPoint);
 
-    CrashSweepResult res;
-    res.points = fi.pointCount();
-    res.checks = oracle.checksRun();
-    res.linesTracked = oracle.linesTracked();
-    res.pointsByKind = countsByKind(fi);
-    res.schedule = fi.events();
-    res.violations = oracle.violations();
-
+    // Quiescent drain: write every dirty DRAM-cache line back, with the
+    // injector detached so the schedule gains no point, and check that
+    // in-place NVM then equals the store without redo replay.
     r.system().setFaultInjector(nullptr);
+    r.system().flushDramCache();
+    oracle.checkDrained();
+
+    CrashSweepResult res = resultOf(fi, oracle);
+    res.schedule = fi.events();
     return res;
 }
 
@@ -82,21 +88,11 @@ CrashSweepRunner::replay(std::uint64_t k)
     _workload(r);
     r.run();
 
-    CrashSweepResult res;
-    res.points = fi.pointCount();
-    res.pointsByKind = countsByKind(fi);
-    if (fi.crashed()) {
-        res.crashTick = fi.crashTick();
-        oracle.checkCrashAt(r.eventQueue().now(), true, k);
-    } else {
-        // The schedule was shorter than k; nothing crashed and the run
-        // finished normally. Validate the final state anyway.
-        oracle.checkCrashAt(r.eventQueue().now(), true,
-                            CrashOracle::kNoPoint);
-    }
-    res.checks = oracle.checksRun();
-    res.linesTracked = oracle.linesTracked();
-    res.violations = oracle.violations();
+    // If the schedule was shorter than k, nothing crashed and the run
+    // finished normally; validate the final state anyway.
+    oracle.checkCrashAt(r.eventQueue().now(), true,
+                        fi.crashed() ? k : CrashOracle::kNoPoint);
+    CrashSweepResult res = resultOf(fi, oracle);
 
     r.system().setFaultInjector(nullptr);
     r.eventQueue().clearStop();

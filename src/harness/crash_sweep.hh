@@ -8,7 +8,8 @@
  *   - sweep(): one instrumented run; at each crash point's completion
  *     tick the CrashOracle checks that per-line recovery would satisfy
  *     durability and atomicity, with a periodic full recovery-image
- *     cross-check (fullImageStride);
+ *     cross-check (fullImageStride), and once the run has drained,
+ *     the oracle's drain rule;
  *   - replay(K): a fresh run with the same seed that actually crashes
  *     at point K (event queue frozen, in-flight writes lost) and runs
  *     the full oracle on the wreckage — the deterministic reproducer
@@ -40,7 +41,7 @@ struct CrashSweepConfig
     MachineConfig mcfg = MachineConfig::tiny();
     HtmPolicy policy = HtmPolicy::uhtmOpt(1024);
     std::uint64_t seed = 1;
-    /** Full recovery-image cross-check every Nth crash point. */
+    /** Full recovery-image cross-check every Nth crash point (N >= 1). */
     std::uint64_t fullImageStride = 64;
     /** Enable the deliberately broken commit-mark ordering (tests). */
     bool breakCommitMarkOrdering = false;

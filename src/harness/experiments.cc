@@ -129,8 +129,8 @@ runContention(const MachineConfig &machine, const HtmPolicy &policy,
     const unsigned hot_lines = params.hotLines ? params.hotLines : 1;
     const Addr hot_base = runner.regions().reserve(
         MemKind::Nvm, std::uint64_t(hot_lines) * kLineBytes);
-    for (unsigned i = 0; i < hot_lines; ++i)
-        sys.setupWriteLine(hot_base + i * kLineBytes, 0x1000 + i);
+    for (Addr a = 0; a < std::uint64_t(hot_lines) * kLineBytes; a += 8)
+        sys.setupWrite64(hot_base + a, 0x1000 + a / kLineBytes);
 
     for (unsigned w = 0; w < params.workers; ++w) {
         const Addr priv = runner.regions().reserve(

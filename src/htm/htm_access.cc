@@ -286,7 +286,7 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
                         ++_stats.logExpansions;
                     UndoEntry &e =
                         writer->undoRecords.emplace_back(UndoEntry{line});
-                    _store.readLine(line, e.oldData.data());
+                    store().readLine(line, e.oldData.data());
                     notifyPersist(PersistPoint::UndoLogAppend, line, 0,
                                   e.oldData.data());
                     const Tick r = _dramCtrl.access(t, false);
@@ -507,7 +507,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 // Copy-on-first-write: buffer starts from the
                 // architectural (pre-transaction) image.
                 it = tx->writeSet.emplace(line).first;
-                _store.readLine(line, it->second.image.data());
+                store().readLine(line, it->second.image.data());
                 it->second.preImage = it->second.image;
             }
             LineWrite &w = it->second;
@@ -551,19 +551,19 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 std::memcpy(&data, it->second.image.data() + (word - line),
                             8);
             else
-                data = _store.read64(word);
+                data = store().read64(word);
         }
     } else {
         if (is_write) {
             std::array<std::uint8_t, kLineBytes> old, now;
-            _store.readLine(line, old.data());
+            store().readLine(line, old.data());
             now = old;
             storeInto(now, word - line, whole_line, wdata);
-            publishLine(line, old, now);
+            _memory.publish(line, old, now);
             if (MemLayout::kindOf(line) == MemKind::Nvm)
                 enqueueDurableWrite(line, t, now);
         } else {
-            data = _store.read64(word);
+            data = store().read64(word);
         }
     }
     return {t, data};

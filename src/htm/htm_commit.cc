@@ -108,10 +108,10 @@ HtmSystem::issueCommit(CoreId core)
         _commitHook(*tx);
     for (const auto &[line, w] : tx->writeSet) {
         std::array<std::uint8_t, kLineBytes> cur;
-        _store.readLine(line, cur.data());
+        store().readLine(line, cur.data());
         if (std::memcmp(w.preImage.data(), cur.data(), kLineBytes) != 0)
             ++_stats.lostUpdates;
-        publishLine(line, cur, w.image);
+        _memory.publish(line, cur, w.image);
     }
     // Report the commit before the DRAM-cache fills below: their
     // evictions can queue in-place writes of this transaction's own

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -108,53 +107,14 @@ HtmSystem::flushDramCache()
 }
 
 void
-HtmSystem::enqueueDurableWrite(
-    Addr line, Tick due, const std::array<std::uint8_t, kLineBytes> &bytes)
+HtmSystem::enqueueDurableWrite(Addr line, Tick due,
+                               const MemoryImage::Line &bytes)
 {
     // The crash schedule records the write at issue, durable at due,
     // like every other persist point. Notify before queueing: an
     // oracle's first sighting of the line reads the pre-write image.
     notifyPersist(PersistPoint::InPlaceNvmWrite, line, due, bytes.data());
-    // Event-free batch: appended in issue (seq) order, applied in
-    // (due, seq) order at the next observation of the durable image.
-    // A large batch flushes its already-due prefix opportunistically
-    // so memory stays bounded on long runs that never observe it.
-    _durablePending.push_back(DurablePending{due, line, bytes});
-    _durableMinDue = std::min(_durableMinDue, due);
-    if (_durablePending.size() >= kDurableFlushBatch)
-        flushDurableWrites(_eq.now());
-}
-
-void
-HtmSystem::flushDurableWrites(Tick upTo)
-{
-    // Nothing due: crash sweeps observe the image at every check, so
-    // skip the partition instead of walking the whole batch.
-    if (_durablePending.empty() || upTo < _durableMinDue)
-        return;
-    // The batch is in seq (append) order; keep that order among the
-    // not-yet-due survivors and apply the due entries sorted stably by
-    // due — i.e. in (due, seq) order, so the write that completes last
-    // wins even when it was issued first.
-    auto mid = std::stable_partition(
-        _durablePending.begin(), _durablePending.end(),
-        [upTo](const DurablePending &p) { return p.due <= upTo; });
-    std::stable_sort(_durablePending.begin(), mid,
-                     [](const DurablePending &a, const DurablePending &b) {
-                         return a.due < b.due;
-                     });
-    for (auto it = _durablePending.begin(); it != mid; ++it) {
-        DurableNvmView::Line cur;
-        _store.readLine(it->line, cur.data());
-        if (cur == it->bytes)
-            _durableLag.erase(it->line);
-        else
-            _durableLag[it->line] = it->bytes;
-    }
-    _durablePending.erase(_durablePending.begin(), mid);
-    _durableMinDue = ~Tick(0);
-    for (const DurablePending &p : _durablePending)
-        _durableMinDue = std::min(_durableMinDue, p.due);
+    _memory.queue(line, due, bytes, _eq.now());
 }
 
 HtmSystem::~HtmSystem() = default;
@@ -349,35 +309,10 @@ HtmSystem::abortPending(CoreId core) const
     return tx && tx->abortRequested;
 }
 
-void
-HtmSystem::setupWrite64(Addr a, std::uint64_t v)
-{
-    assert((a & 7) == 0 && "setup writes are word-aligned");
-    _store.write64(a, v);
-    // The word is durable at once. A line without a lag entry stays
-    // durable as stored; a lagging line takes the word into its lag.
-    const Addr line = lineAlign(a);
-    auto it = _durableLag.find(line);
-    if (it != _durableLag.end()) {
-        std::memcpy(it->second.data() + (a - line), &v, 8);
-        DurableNvmView::Line cur;
-        _store.readLine(line, cur.data());
-        if (cur == it->second)
-            _durableLag.erase(line);
-    }
-}
-
-void
-HtmSystem::setupWriteLine(Addr line_base, std::uint64_t pattern)
-{
-    for (unsigned i = 0; i < kLineBytes / 8; ++i)
-        setupWrite64(line_base + i * 8, pattern);
-}
-
 std::uint64_t
 HtmSystem::setupRead64(Addr a) const
 {
-    return _store.read64(a);
+    return store().read64(a);
 }
 
 BackingStore
@@ -391,8 +326,7 @@ HtmSystem::recoverAfterCrash()
 HtmSystem::MemoryLedger
 HtmSystem::memoryLedger() const
 {
-    return {_store.pageCount() * BackingStore::kPageBytes,
-            _durableLag.size() * kLineBytes, _redoLog.footprint()};
+    return {_memory.storeBytes(), _memory.lagBytes(), _redoLog.footprint()};
 }
 
 void
@@ -436,20 +370,7 @@ HtmSystem::lineImage(const TxDesc *tx, Addr line,
             return;
         }
     }
-    _store.readLine(line, out.data());
-}
-
-void
-HtmSystem::publishLine(Addr line, const DurableNvmView::Line &old,
-                       const DurableNvmView::Line &now)
-{
-    if (MemLayout::kindOf(line) == MemKind::Nvm) {
-        // A line without an entry was durable as stored: @p old.
-        auto it = _durableLag.emplace(line, old).first;
-        if (it->second == now)
-            _durableLag.erase(line);
-    }
-    _store.writeLine(line, now.data());
+    store().readLine(line, out.data());
 }
 
 void
@@ -461,8 +382,8 @@ HtmSystem::writebackToMemory(Addr line, Tick t)
         const Tick done = _nvmCtrl.access(t, true);
         // The in-place write carries the line's architectural bytes
         // into the durable image when it completes.
-        std::array<std::uint8_t, kLineBytes> bytes;
-        _store.readLine(line, bytes.data());
+        MemoryImage::Line bytes;
+        store().readLine(line, bytes.data());
         enqueueDurableWrite(line, done, bytes);
     }
 }

@@ -37,11 +37,11 @@
 #include "htm/conflict_policy.hh"
 #include "htm/tss.hh"
 #include "htm/tx_desc.hh"
-#include "mem/backing_store.hh"
 #include "mem/cache.hh"
 #include "mem/dram_cache.hh"
 #include "mem/layout.hh"
 #include "mem/mem_ctrl.hh"
+#include "mem/memory_image.hh"
 #include "mem/redo_log.hh"
 #include "mem/undo_log.hh"
 #include "obs/abort_profile.hh"
@@ -267,10 +267,11 @@ class HtmSystem
      *  @{ */
 
     /** Write 64 bits functionally; NVM writes also become durable. */
-    void setupWrite64(Addr a, std::uint64_t v);
-
-    /** Write a whole line functionally (pattern-filled). */
-    void setupWriteLine(Addr line_base, std::uint64_t pattern);
+    void
+    setupWrite64(Addr a, std::uint64_t v)
+    {
+        _memory.setupWrite64(a, v);
+    }
 
     /** Functional read (architectural state). */
     std::uint64_t setupRead64(Addr a) const;
@@ -288,20 +289,14 @@ class HtmSystem
      */
     BackingStore recoverAfterCrash();
 
-    /**
-     * Durable in-place NVM image (pre-replay), for tests and the crash
-     * oracle. Applies the queued in-place writes first (see
-     * flushDurableWrites): all of them once the run has drained, only
-     * those due by the current tick while events are still pending or
-     * a crash stopped the queue. Cheap when nothing is due. The view
-     * reads the store and the durable lag, so it is valid until the
-     * next access, commit or setup write.
-     */
-    DurableNvmView
+    /** Durable in-place NVM image (pre-replay), for tests and the
+     *  crash oracle, with the queued writes applied up to
+     *  durableHorizon(). Cheap when nothing is due. */
+    const MemoryImage &
     durableNvm()
     {
-        flushDurableWrites(durableHorizon());
-        return {_store, _durableLag};
+        _memory.apply(durableHorizon());
+        return _memory;
     }
 
     /**
@@ -342,9 +337,8 @@ class HtmSystem
     const MachineConfig &machine() const { return _mcfg; }
     const HtmPolicy &policy() const { return _policy; }
     const ConflictRules &conflictRules() const { return _conflict; }
-    /** Architectural state, read-only: every write goes through the
-     *  access, commit or setup paths, which keep the durable lag. */
-    const BackingStore &store() const { return _store; }
+    /** Architectural state, read-only (MemoryImage::store()). */
+    const BackingStore &store() const { return _memory.store(); }
     Cache &l1(CoreId c) { return *_l1s[c]; }
     Cache &llc() { return _llc; }
     DramCache &dramCache() { return _dramCache; }
@@ -507,32 +501,13 @@ class HtmSystem
                    std::array<std::uint8_t, kLineBytes> &out) const;
 
     /**
-     * Overwrite @p line of the architectural store, whose bytes are
-     * @p old, with @p now. The one store write of the access and commit
-     * paths: for an NVM line it first keeps the durable lag exact (the
-     * durable bytes stay those of @p old until a durable write lands).
-     */
-    void publishLine(Addr line, const DurableNvmView::Line &old,
-                     const DurableNvmView::Line &now);
-
-    /**
      * Queue a durable in-place NVM image update of @p bytes at tick
-     * @p due; the only way the durable image changes after setup. No
-     * event is scheduled: entries append to a batch that is applied in
-     * (due, seq) order either when it reaches kDurableFlushBatch
-     * entries (only those already due) or at the next observation of
-     * the durable image (durableNvm(), recoverAfterCrash()). An
-     * attached fault injector is notified of the InPlaceNvmWrite point
-     * here, at issue, completing at @p due.
+     * @p due (MemoryImage::queue): the only way the durable image
+     * changes after setup. An attached fault injector is notified of
+     * the InPlaceNvmWrite point first, at issue, completing at @p due.
      */
     void enqueueDurableWrite(Addr line, Tick due,
-                             const std::array<std::uint8_t, kLineBytes> &bytes);
-
-    /** Apply queued durable writes with due <= @p upTo, in (due, seq)
-     *  order: of two writes to a line, the later-due one wins. A write
-     *  equal to the store's line drops the line's lag entry; any other
-     *  write becomes it. */
-    void flushDurableWrites(Tick upTo);
+                             const MemoryImage::Line &bytes);
 
     /**
      * Tick up to which queued durable writes are considered applied
@@ -560,10 +535,8 @@ class HtmSystem
     HtmPolicy _policy;
     ConflictRules _conflict;
 
-    BackingStore _store; ///< architectural (committed) state
-    /** Durable bytes of the NVM lines whose durable image lags _store;
-     *  every other NVM line is durable as stored (DurableNvmView). */
-    DurableNvmView::Lag _durableLag;
+    /** Architectural store and durable in-place NVM image. */
+    MemoryImage _memory;
 
     std::vector<std::unique_ptr<Cache>> _l1s;
     Cache _llc;
@@ -595,23 +568,6 @@ class HtmSystem
     /** Effective signature geometry (0 bits = signatures off). */
     unsigned _sigBits = 0;
     unsigned _sigHashes = 0;
-
-    /** One queued durable-NVM image update (coalesced write path). */
-    struct DurablePending
-    {
-        Tick due;
-        Addr line;
-        std::array<std::uint8_t, kLineBytes> bytes;
-    };
-
-    /** Pending batch, always in issue (append) order, so a write's
-     *  position is its seq; flushed in (due, seq) order by
-     *  flushDurableWrites(). */
-    std::vector<DurablePending> _durablePending;
-    /** Earliest due tick in the batch (~0 when empty). */
-    Tick _durableMinDue = ~Tick(0);
-    /** Batch size that triggers an opportunistic already-due flush. */
-    static constexpr std::size_t kDurableFlushBatch = 4096;
 
     FaultInjector *_faultInjector = nullptr;
     bool _breakCommitMarkOrdering = false;

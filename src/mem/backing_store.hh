@@ -19,13 +19,12 @@
 #ifndef UHTM_MEM_BACKING_STORE_HH
 #define UHTM_MEM_BACKING_STORE_HH
 
+#include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 
-#include "mem/layout.hh"
 #include "sim/line_map.hh"
 #include "sim/types.hh"
 
@@ -46,17 +45,6 @@ class BackingStore
         : _pages(std::move(o._pages))
     {
         o.dropMemo();
-    }
-
-    BackingStore &
-    operator=(BackingStore &&o) noexcept
-    {
-        if (this != &o) {
-            _pages = std::move(o._pages);
-            dropMemo();
-            o.dropMemo();
-        }
-        return *this;
     }
 
     /** Read @p len bytes at @p a into @p out. Unwritten bytes read 0. */
@@ -167,7 +155,7 @@ class BackingStore
     /**
      * Replace this store's contents with a deep copy of @p o's pages
      * at or above @p from (crash recovery copies the NVM half of the
-     * architectural store; see DurableNvmView::image).
+     * architectural store; see MemoryImage::image).
      */
     void
     copyFrom(const BackingStore &o, Addr from = 0)
@@ -230,77 +218,6 @@ class BackingStore
     /** MRU page memo (mutable: reads refresh it too). */
     mutable Addr _memoBase = kNoPage;
     mutable Page *_memoPage = nullptr;
-};
-
-/**
- * Read-only view of the durable in-place NVM image.
- *
- * In-place NVM is updated lazily, on DRAM-cache eviction, so the
- * durable image differs from the architectural store only in lines
- * whose newer bytes are still dirty in the DRAM cache or queued for
- * write-back. The image is therefore held as that difference: a line
- * with a *lag* entry has those durable bytes, every other NVM line has
- * the store's bytes. DRAM addresses read 0: DRAM keeps nothing across
- * a power failure.
- */
-class DurableNvmView
-{
-  public:
-    using Line = std::array<std::uint8_t, kLineBytes>;
-    /** NVM line base -> durable bytes, for lines that differ. */
-    using Lag = LineMap<Line>;
-
-    DurableNvmView(const BackingStore &store, const Lag &lag)
-        : _store(store), _lag(lag)
-    {
-    }
-
-    /** Copy one durable line out (64 bytes at line-aligned @p a). */
-    void
-    readLine(Addr line_base, std::uint8_t out[kLineBytes]) const
-    {
-        assert((line_base & (kLineBytes - 1)) == 0);
-        if (MemLayout::kindOf(line_base) != MemKind::Nvm) {
-            std::memset(out, 0, kLineBytes);
-            return;
-        }
-        auto it = _lag.find(line_base);
-        if (it != _lag.end())
-            std::memcpy(out, it->second.data(), kLineBytes);
-        else
-            _store.readLine(line_base, out);
-    }
-
-    /** Read a little-endian, aligned 64-bit durable word. */
-    std::uint64_t
-    read64(Addr a) const
-    {
-        assert((a & 7) == 0 && "an aligned word never straddles a line");
-        Line line;
-        readLine(lineAlign(a), line.data());
-        std::uint64_t v;
-        std::memcpy(&v, line.data() + (a & (kLineBytes - 1)), 8);
-        return v;
-    }
-
-    /** Lines whose durable bytes differ from the store's. */
-    const Lag &lag() const { return _lag; }
-
-    /** A full copy of the image: the store's NVM pages with every lag
-     *  line written over them. */
-    BackingStore
-    image() const
-    {
-        BackingStore img;
-        img.copyFrom(_store, MemLayout::kNvmBase);
-        for (const auto &[line, bytes] : _lag)
-            img.writeLine(line, bytes.data());
-        return img;
-    }
-
-  private:
-    const BackingStore &_store;
-    const Lag &_lag;
 };
 
 } // namespace uhtm

@@ -29,8 +29,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/backing_store.hh"
 #include "mem/log_area.hh"
+#include "mem/memory_image.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -147,7 +147,7 @@ class RedoLogArea : public LogArea<RedoLogStats>
      * @retval false @p out holds the durable in-place image unchanged.
      */
     bool
-    recoverLine(const DurableNvmView &durable_image, Addr line,
+    recoverLine(const MemoryImage &durable_image, Addr line,
                 Tick crash_tick,
                 std::array<std::uint8_t, kLineBytes> &out) const
     {

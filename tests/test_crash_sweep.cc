@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "check/crash_oracle.hh"
 #include "harness/crash_sweep.hh"
 #include "htm/htm_system.hh"
+#include "htm/tx_context.hh"
 
 namespace uhtm
 {
@@ -273,6 +275,54 @@ TEST(CrashOracle, RollbackFlagsANonPreTransactionUndoImage)
 TEST(CrashOracle, RollbackAcceptsThePreTransactionUndoImage)
 {
     EXPECT_TRUE(rollbackViolations(0).empty());
+}
+
+TEST(CrashOracle, DrainFlagsExactlyTheLinesTheDramCacheHoldsBack)
+{
+    // A committed transaction's NVM lines stay dirty in the DRAM cache,
+    // so until they are written back in-place NVM lags the store on
+    // exactly those lines. A setup write is durable at once and a DRAM
+    // line has no durable image, so neither is flagged.
+    EventQueue eq;
+    HtmSystem sys(eq, MachineConfig::tiny(), HtmPolicy::uhtmOpt(2048));
+    CrashOracle oracle(sys);
+    const DomainId dom = sys.createDomain("p0");
+    const Addr nvm = MemLayout::kNvmBase + MiB(4);
+    const Addr dram = MemLayout::kDramBase + MiB(4);
+    sys.setupWrite64(nvm + 64 * kLineBytes, 7);
+
+    TxContext ctx(sys, 0, dom, 1);
+    auto driver = [&]() -> Task {
+        co_await ctx.run([&](TxContext &c) -> CoTask<void> {
+            for (unsigned i = 0; i < 4; ++i)
+                co_await c.write64(nvm + i * kLineBytes, 0x100 + i);
+            co_await c.write64(dram, 1);
+        });
+    };
+    Task t = driver();
+    t.start();
+    eq.run();
+
+    std::vector<Addr> held;
+    sys.dramCache().forEach([&](DramCacheEntry &e) {
+        if (e.committedDirty())
+            held.push_back(e.tag);
+    });
+    std::sort(held.begin(), held.end());
+    ASSERT_EQ(held.size(), 4u);
+
+    EXPECT_EQ(oracle.checkDrained(), held.size());
+    std::vector<Addr> flagged;
+    for (const auto &v : oracle.violations()) {
+        EXPECT_STREQ(v.kind, "drain");
+        flagged.push_back(v.line);
+    }
+    EXPECT_EQ(flagged, held);
+    EXPECT_EQ(oracle.checksRun(), 0u) << "the drain rule is not a check";
+
+    // Written back, in-place NVM equals the store.
+    sys.flushDramCache();
+    EXPECT_EQ(oracle.checkDrained(), 0u);
 }
 
 /** FNV-1a over each point's (kind, line, issue tick, durable tick). */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Durable-write path tests: the event-free batch behind every in-place
- * NVM image update (HtmSystem::enqueueDurableWrite /
- * flushDurableWrites) applies writes in (due, seq) order, gives crash
+ * NVM image update (HtmSystem::enqueueDurableWrite / MemoryImage::queue
+ * and apply) applies writes in (due, seq) order, gives crash
  * semantics at mid-run observation (only writes due by the frozen tick
  * are visible), does not depend on how often the image is observed,
  * and is the same path with or without a fault injector attached; and
@@ -233,7 +233,7 @@ TEST(DurableImage, LagMatchesFullShadowImage)
     {
         Tick due;
         Addr line;
-        DurableNvmView::Line bytes;
+        MemoryImage::Line bytes;
     };
     std::vector<Write> queued; // issue (seq) order
     BackingStore shadow;
@@ -249,7 +249,7 @@ TEST(DurableImage, LagMatchesFullShadowImage)
 
     std::size_t max_lag = 0;
     auto check = [&](const std::string &when) {
-        const DurableNvmView view = sys.durableNvm();
+        const auto &view = sys.durableNvm();
         // The documented horizon: everything once the queue drained,
         // only what is due by now while events pend or after a crash.
         const Tick horizon = (!eq.empty() || eq.stopRequested())
@@ -271,7 +271,7 @@ TEST(DurableImage, LagMatchesFullShadowImage)
         const BackingStore image = view.image();
         for (std::uint64_t i = 0; i < span; ++i) {
             const Addr line = nvm + i * kLineBytes;
-            DurableNvmView::Line got, full, want;
+            MemoryImage::Line got, full, want;
             view.readLine(line, got.data());
             image.readLine(line, full.data());
             shadow.readLine(line, want.data());
@@ -279,7 +279,7 @@ TEST(DurableImage, LagMatchesFullShadowImage)
             ASSERT_EQ(full, want) << when << ", image() line " << i;
         }
         for (const auto &[line, bytes] : view.lag()) {
-            DurableNvmView::Line cur;
+            MemoryImage::Line cur;
             sys.store().readLine(line, cur.data());
             ASSERT_NE(bytes, cur) << when << ": a lag entry equals its "
                                      "store line, so the lag can grow "

@@ -438,11 +438,9 @@ TEST(RedoLog, ReplayRespectsCommitOrderOnSameLine)
     EXPECT_EQ(log.replayCommitted(img, 1000), 2u);
     EXPECT_EQ(img.read64(kNvmA) & 0xff, 0xbbu);
 
-    const BackingStore empty;
-    const DurableNvmView::Lag no_lag;
+    const MemoryImage empty;
     std::array<std::uint8_t, kLineBytes> out;
-    ASSERT_TRUE(log.recoverLine(DurableNvmView(empty, no_lag), kNvmA,
-                                1000, out));
+    ASSERT_TRUE(log.recoverLine(empty, kNvmA, 1000, out));
     EXPECT_EQ(out[0], 0xbb);
 }
 
@@ -456,9 +454,7 @@ TEST(RedoLog, RecoverLineFallsBackToOlderDurableCommit)
     log.commit(500, {record(kNvmA, 0xbb, 20)});
     log.commit(700, {record(kNvmB, 0xdd, 800)}); // torn until t=800
 
-    const BackingStore empty;
-    const DurableNvmView::Lag no_lag;
-    const DurableNvmView durable(empty, no_lag);
+    const MemoryImage durable;
     std::array<std::uint8_t, kLineBytes> out;
     ASSERT_TRUE(log.recoverLine(durable, kNvmA, 300, out));
     EXPECT_EQ(out[0], 0xaa) << "newer commit record not durable yet";

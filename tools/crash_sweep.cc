@@ -65,6 +65,15 @@ u64Flag(const char *arg, const char *prefix, std::uint64_t *out,
     return false;
 }
 
+/** Report a well-formed but invalid @p flag value; @return exit code 2. */
+int
+rejectValue(const char *argv0, const char *flag, const char *why)
+{
+    std::fprintf(stderr, "%s: %s\n", flag, why);
+    usage(argv0);
+    return 2;
+}
+
 void
 printViolations(const uhtm::CrashSweepResult &res, std::size_t limit)
 {
@@ -105,8 +114,14 @@ main(int argc, char **argv)
         } else if (u64Flag(a, "--seed=", &v, &bad)) {
             cfg.seed = v;
         } else if (u64Flag(a, "--stride=", &v, &bad)) {
+            if (v == 0)
+                return rejectValue(argv[0], "--stride", "must be at least 1");
             cfg.fullImageStride = v;
         } else if (u64Flag(a, "--crash-at=", &v, &bad)) {
+            if (v == CrashOracle::kNoPoint) {
+                return rejectValue(argv[0], "--crash-at",
+                                   "2^64-1 is not a crash point index");
+            }
             crash_at = v;
         } else if (std::strcmp(a, "--break-commit-order") == 0) {
             cfg.breakCommitMarkOrdering = true;
